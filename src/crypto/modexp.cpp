@@ -22,6 +22,14 @@ obs::Counter& fixed_base_hits() {
   return c;
 }
 
+/// Sum of exponent bit-lengths over both exp() paths: a machine-independent
+/// measure of exponentiation work (a table exponentiation costs about
+/// bits/window multiplications, a plain one about bits squarings).
+obs::Counter& exp_bits() {
+  static obs::Counter& c = obs::metric("crypto.modexp.exp_bits");
+  return c;
+}
+
 obs::Counter& multi_exp_calls() {
   static obs::Counter& c = obs::metric("crypto.multi_exp.calls");
   return c;
@@ -55,6 +63,7 @@ Bignum ModExpContext::exp(const Bignum& base, const Bignum& exponent) const {
     throw CryptoError("ModExpContext::exp: negative exponent");
   }
   modexp_calls().add();
+  exp_bits().add(static_cast<std::uint64_t>(exponent.bits()));
   Bignum out;
   // Reduce the base first: BN_mod_exp_mont requires base < modulus.
   const Bignum reduced = base.mod(modulus_);
@@ -126,6 +135,7 @@ Bignum ModExpContext::exp(const FixedBaseTable& table,
   }
   modexp_calls().add();
   fixed_base_hits().add();
+  exp_bits().add(static_cast<std::uint64_t>(exponent.bits()));
   if (exponent.is_zero()) return Bignum(1);
 
   BN_CTX* ctx = scratch();

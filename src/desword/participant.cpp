@@ -52,11 +52,6 @@ obs::Counter& proof_memo_hits() {
   return c;
 }
 
-/// Proof-memo entry bound: generous for a real deployment (a participant
-/// proves per (commitment, product) it ever served) while still bounding
-/// memory against a hostile query stream sweeping fabricated product ids.
-constexpr std::size_t kProofMemoCap = 4096;
-
 obs::Counter& distribution_orphaned() {
   static obs::Counter& c = obs::metric("net.distribution.orphaned");
   return c;
@@ -576,9 +571,16 @@ poc::PocProof Participant::prove_poc(const ProofContext& ctx,
   stats_.proofs_generated += 1;
   poc::PocProof proof = ctx.scheme->prove(*ctx.dpoc, product);
   Bytes serialized = proof.serialize();
+  const std::size_t entry_bytes = key.size() + serialized.size();
+  if (entry_bytes > kProofMemoBudgetBytes) return proof;  // never fits
   MutexLock lock(proof_memo_mu_);
-  if (proof_memo_.size() >= kProofMemoCap) proof_memo_.clear();
-  proof_memo_[key] = std::move(serialized);
+  if (proof_memo_bytes_ + entry_bytes > kProofMemoBudgetBytes) {
+    proof_memo_.clear();
+    proof_memo_bytes_ = 0;
+  }
+  if (proof_memo_.emplace(key, std::move(serialized)).second) {
+    proof_memo_bytes_ += entry_bytes;
+  }
   return proof;
 }
 

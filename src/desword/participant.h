@@ -154,6 +154,16 @@ class Participant {
     MutexLock lock(proof_memo_mu_);
     return proof_memo_.size();
   }
+  /// Key + proof bytes held by the memo; never above kProofMemoBudgetBytes.
+  std::size_t proof_memo_bytes() const {
+    MutexLock lock(proof_memo_mu_);
+    return proof_memo_bytes_;
+  }
+  /// Proof-memo byte budget. One membership proof is ≈27 KiB at RSA-2048,
+  /// so this holds a few dozen hot proofs per participant; a miss stream
+  /// sweeping fresh product ids is bounded by it instead of growing the
+  /// memo to hundreds of MiB.
+  static constexpr std::size_t kProofMemoBudgetBytes = std::size_t{1} << 20;
 
   /// Receives envelopes whose type the participant does not understand
   /// (admin extensions layered on top of the core protocol).
@@ -313,12 +323,12 @@ class Participant {
   /// Proof memo: digest(commitment ‖ product) -> serialized honest
   /// PocProof. Shared between strand workers and the loop thread (size
   /// queries), hence the lock; proving dominates it by orders of
-  /// magnitude. Bounded by wholesale clearing at the cap — a participant
-  /// serves a handful of commitments × products, so the cap only guards
-  /// against pathological query streams.
+  /// magnitude. Bounded by wholesale clearing when the next entry would
+  /// exceed kProofMemoBudgetBytes.
   bool proof_memo_enabled_ = true;
   mutable Mutex proof_memo_mu_;
   std::map<Bytes, Bytes> proof_memo_ DESWORD_GUARDED_BY(proof_memo_mu_);
+  std::size_t proof_memo_bytes_ DESWORD_GUARDED_BY(proof_memo_mu_) = 0;
   Stats stats_;
   net::Handler fallback_;
 

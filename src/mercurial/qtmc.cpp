@@ -1,5 +1,7 @@
 #include "mercurial/qtmc.h"
 
+#include <algorithm>
+#include <bit>
 #include <list>
 #include <map>
 #include <mutex>  // desword-lint: allow(raw-mutex) — std::once_flag/call_once
@@ -15,7 +17,6 @@ namespace desword::mercurial {
 
 namespace {
 
-constexpr int kRandomizerBits = 256;
 // Sanity cap on attacker-supplied exponents (honest values are ~256 bits;
 // the cap only bounds verification work, not security).
 constexpr int kMaxExponentBits = 1024;
@@ -63,6 +64,7 @@ struct FixedBaseSet {
   std::shared_ptr<const ModExpContext::FixedBaseTable> h;
   std::shared_ptr<const ModExpContext::FixedBaseTable> h_tilde;
   std::shared_ptr<const std::vector<ModExpContext::FixedBaseTable>> s;
+  std::shared_ptr<const std::vector<ModExpContext::FixedBaseTable>> v;
 };
 
 struct FixedBaseEntry {
@@ -250,8 +252,14 @@ std::pair<QtmcCommitment, QtmcHardDecommit> QtmcScheme::hard_commit(
     throw CryptoError("qTMC: more messages than arity");
   }
   QtmcHardDecommit dec;
-  dec.messages = messages;
-  dec.messages.resize(pk_.q, null_message());
+  dec.messages.reserve(pk_.q * kMessageBytes);
+  for (const Bytes& m : messages) {
+    if (m.size() != kMessageBytes) {
+      throw CryptoError("mercurial message must be exactly 16 bytes");
+    }
+    append(dec.messages, m);
+  }
+  dec.messages.resize(pk_.q * kMessageBytes, 0);  // null-message tail
   dec.z = rng.rand_bits(kRandomizerBits);
   dec.r0 = rng.rand_bits(kRandomizerBits);
   dec.r1 = rng.rand_bits(kRandomizerBits);
@@ -270,11 +278,11 @@ std::pair<QtmcCommitment, QtmcHardDecommit> QtmcScheme::hard_commit(
   };
   std::map<Bytes, Grouped> base_by_message;
   for (std::uint32_t i = 0; i < pk_.q; ++i) {
-    const Bytes& m = dec.messages[i];
+    Bytes m(dec.message(i).begin(), dec.message(i).end());
     if (message_to_scalar(m).is_zero()) continue;  // S_i^0 = 1
     const auto it = base_by_message.find(m);
     if (it == base_by_message.end()) {
-      base_by_message.emplace(m, Grouped{s_[i], i, 1});
+      base_by_message.emplace(std::move(m), Grouped{s_[i], i, 1});
     } else {
       it->second.base = Bignum::mod_mul(it->second.base, s_[i], pk_.n);
       ++it->second.count;
@@ -290,36 +298,70 @@ std::pair<QtmcCommitment, QtmcHardDecommit> QtmcScheme::hard_commit(
   return {QtmcCommitment{std::move(c0), c1}, std::move(dec)};
 }
 
-Bignum QtmcScheme::lambda_exponent(const QtmcHardDecommit& dec,
-                                   std::uint32_t pos) const {
-  // (z·P + Σ_{j≠pos} m_j·P_j) / e_pos  =  z·P_pos + Σ_{j≠pos} m_j·(P_pos/e_j)
-  const Bignum p_pos = prod_all_.divided_by(e_[pos]);
-  Bignum exp = dec.z * p_pos;
-  for (std::uint32_t j = 0; j < pk_.q; ++j) {
-    if (j == pos) continue;
-    const Bignum m = message_to_scalar(dec.messages[j]);
-    if (m.is_zero()) continue;
-    exp += m * p_pos.divided_by(e_[j]);
+Bignum QtmcScheme::hard_lambda(const QtmcHardDecommit& dec,
+                               std::uint32_t pos) const {
+  if (pos >= pk_.q || dec.messages.size() != pk_.q * kMessageBytes) {
+    throw CryptoError("qTMC hard opening: bad position or decommitment");
   }
-  return exp;
+  if (!fb_pos_ready_.load(std::memory_order_acquire)) {
+    adopt_fixed_bases(/*base_tables=*/false, /*position_tables=*/true);
+  }
+  // Λ_pos = S_pos^z · V_pos^B · g^{Σ_{j∈K} (m_j − B)·P_pos/e_j} (qtmc.h).
+  // B = the most frequent message among the other positions: sort them by
+  // message and take the longest run of equal ones.
+  std::vector<std::uint32_t> others;
+  others.reserve(pk_.q - 1);
+  for (std::uint32_t j = 0; j < pk_.q; ++j) {
+    if (j != pos) others.push_back(j);
+  }
+  const auto less = [&dec](std::uint32_t a, std::uint32_t b) {
+    return std::ranges::lexicographical_compare(dec.message(a),
+                                                dec.message(b));
+  };
+  std::sort(others.begin(), others.end(), less);
+  std::size_t run_lo = 0;
+  std::size_t run_hi = 0;
+  for (std::size_t lo = 0, hi = 0; lo < others.size(); lo = hi) {
+    hi = lo + 1;
+    while (hi < others.size() && !less(others[lo], others[hi])) ++hi;
+    if (hi - lo > run_hi - run_lo) {
+      run_lo = lo;
+      run_hi = hi;
+    }
+  }
+
+  Bignum lambda = pow_s(pos, dec.z);
+  if (others.empty()) return canonical(lambda);
+  const Bignum b = message_to_scalar(dec.message(others[run_lo]));
+  if (!b.is_zero()) {
+    lambda = Bignum::mod_mul(lambda, mexp_->exp((*fb_v_tables())[pos], b),
+                             pk_.n);
+  }
+  if (run_hi - run_lo < others.size()) {  // K ≠ ∅
+    const Bignum p_pos = prod_all_.divided_by(e_[pos]);
+    Bignum k_exp;
+    for (const std::uint32_t j : others) {
+      const Bignum diff = message_to_scalar(dec.message(j)) - b;
+      if (!diff.is_zero()) k_exp += diff * p_pos.divided_by(e_[j]);
+    }
+    lambda = Bignum::mod_mul(lambda, pow_g_signed(k_exp), pk_.n);
+  }
+  return canonical(lambda);
 }
 
 QtmcOpening QtmcScheme::hard_open(const QtmcHardDecommit& dec,
                                   std::uint32_t pos) const {
-  if (pos >= pk_.q || dec.messages.size() != pk_.q) {
-    throw CryptoError("qTMC hard_open: bad position or decommitment");
-  }
-  const Bignum lambda = canonical(pow_g(lambda_exponent(dec, pos)));
-  return QtmcOpening{pos, dec.messages[pos], dec.r0, lambda, dec.r1};
+  Bignum lambda = hard_lambda(dec, pos);
+  const BytesView m = dec.message(pos);
+  return QtmcOpening{pos, Bytes(m.begin(), m.end()), dec.r0, std::move(lambda),
+                     dec.r1};
 }
 
 QtmcTease QtmcScheme::tease_hard(const QtmcHardDecommit& dec,
                                  std::uint32_t pos) const {
-  if (pos >= pk_.q || dec.messages.size() != pk_.q) {
-    throw CryptoError("qTMC tease_hard: bad position or decommitment");
-  }
-  const Bignum lambda = canonical(pow_g(lambda_exponent(dec, pos)));
-  return QtmcTease{pos, dec.messages[pos], dec.r0, lambda};
+  Bignum lambda = hard_lambda(dec, pos);
+  const BytesView m = dec.message(pos);
+  return QtmcTease{pos, Bytes(m.begin(), m.end()), dec.r0, std::move(lambda)};
 }
 
 std::pair<QtmcCommitment, QtmcSoftDecommit> QtmcScheme::soft_commit() const {
@@ -357,9 +399,14 @@ void QtmcScheme::precompute_soft_bases() const {
 }
 
 void QtmcScheme::precompute_fixed_bases(bool position_bases) const {
+  adopt_fixed_bases(/*base_tables=*/true, position_bases);
+}
+
+void QtmcScheme::adopt_fixed_bases(bool base_tables,
+                                   bool position_tables) const {
   MutexLock lock(fb_mu_);
-  if (fb_ready_.load(std::memory_order_acquire) &&
-      (!position_bases || fb_pos_ready_.load(std::memory_order_acquire))) {
+  if ((!base_tables || fb_ready_.load(std::memory_order_acquire)) &&
+      (!position_tables || fb_pos_ready_.load(std::memory_order_acquire))) {
     return;
   }
   // Builds run outside the registry lock: the per-entry once_flags dedupe
@@ -368,12 +415,15 @@ void QtmcScheme::precompute_fixed_bases(bool position_bases) const {
   // unrelated CRSs build in parallel.
   const std::shared_ptr<FixedBaseEntry> entry =
       fixed_base_entry(sha256(pk_.serialize()));
-  if (!fb_ready_.load(std::memory_order_acquire)) {
+  if (base_tables && !fb_ready_.load(std::memory_order_acquire)) {
     std::call_once(entry->base_once, [&] {
-      // λ exponents reach z·P + Σ m_j·P_j < 2^{P_bits + kRandomizerBits + 8};
-      // anything wider (hostile input) falls back to plain modexp inside
+      // The widest g exponents are the U_i quotients and the K term of a
+      // hard opening, Σ_{j∈K} (m_j − B)·P/(e_i·e_j), both below
+      // 2^{P_bits − kPrimeBits + kMessageBits + bit_width(q)}; anything
+      // wider (hostile input) falls back to plain modexp inside
       // ModExpContext::exp, so the cap is a fast-path bound, not a limit.
-      const int g_bits = prod_all_.bits() + kRandomizerBits + 8;
+      const int g_bits = prod_all_.bits() - kPrimeBits + kMessageBits +
+                         static_cast<int>(std::bit_width(pk_.q));
       entry->set.g = std::make_shared<const ModExpContext::FixedBaseTable>(
           mexp_->precompute(pk_.g.mod(pk_.n), g_bits));
       entry->set.h = std::make_shared<const ModExpContext::FixedBaseTable>(
@@ -386,20 +436,34 @@ void QtmcScheme::precompute_fixed_bases(bool position_bases) const {
     fb_h_tilde_ = entry->set.h_tilde;
     fb_ready_.store(true, std::memory_order_release);
   }
-  if (position_bases && !fb_pos_ready_.load(std::memory_order_acquire)) {
+  if (position_tables && !fb_pos_ready_.load(std::memory_order_acquire)) {
     std::call_once(entry->pos_once, [&] {
-      std::vector<ModExpContext::FixedBaseTable> tables;
-      tables.reserve(pk_.q);
+      // S_i tables serve the randomizer z (hard openings) as well as the
+      // 128-bit message scalars (commits, verification); V_i tables serve
+      // the 128-bit B of the factored hard opening.
+      std::vector<ModExpContext::FixedBaseTable> s_tables;
+      std::vector<ModExpContext::FixedBaseTable> v_tables;
+      s_tables.reserve(pk_.q);
+      v_tables.reserve(pk_.q);
       for (std::uint32_t i = 0; i < pk_.q; ++i) {
-        // Message scalars are kMessageBytes wide (128 bits).
-        tables.push_back(
-            mexp_->precompute(s_[i], static_cast<int>(kMessageBytes) * 8));
+        s_tables.push_back(mexp_->precompute(s_[i], kRandomizerBits));
+        // V_i = g^{Σ_{j≠i} P_i/e_j} (through the g table when adopted).
+        const Bignum p_i = prod_all_.divided_by(e_[i]);
+        Bignum w;
+        for (std::uint32_t j = 0; j < pk_.q; ++j) {
+          if (j != i) w += p_i.divided_by(e_[j]);
+        }
+        v_tables.push_back(mexp_->precompute(pow_g(w), kMessageBits));
       }
       entry->set.s =
           std::make_shared<const std::vector<ModExpContext::FixedBaseTable>>(
-              std::move(tables));
+              std::move(s_tables));
+      entry->set.v =
+          std::make_shared<const std::vector<ModExpContext::FixedBaseTable>>(
+              std::move(v_tables));
     });
     fb_s_ = entry->set.s;
+    fb_v_ = entry->set.v;
     fb_pos_ready_.store(true, std::memory_order_release);
   }
 }
@@ -409,7 +473,7 @@ const void* QtmcScheme::fixed_base_tables_id() const {
   return fb_g_.get();
 }
 
-// See the declarations in qtmc.h for why these four accessors may read the
+// See the declarations in qtmc.h for why these five accessors may read the
 // fb_* pointers without holding fb_mu_ (write-once release/acquire
 // publication gated by fb_*_ready_).
 const ModExpContext::FixedBaseTable* QtmcScheme::fb_g_table() const {
@@ -431,6 +495,12 @@ const std::vector<ModExpContext::FixedBaseTable>* QtmcScheme::fb_s_tables()
     const {
   if (!fb_pos_ready_.load(std::memory_order_acquire)) return nullptr;
   return fb_s_.get();
+}
+
+const std::vector<ModExpContext::FixedBaseTable>* QtmcScheme::fb_v_tables()
+    const {
+  if (!fb_pos_ready_.load(std::memory_order_acquire)) return nullptr;
+  return fb_v_.get();
 }
 
 Bignum QtmcScheme::pow_g(const Bignum& exponent) const {

@@ -31,9 +31,27 @@
 // break small-exponent batch verification (DESIGN.md §5.5); binding is
 // unaffected, since a relation g^a = −g^b still yields g^{2(a−b)} = 1.
 //
-// Cost profile (matches the paper's Figure 4): qKGen / qHCom / qHOpen /
-// qSOpen-of-hard grow linearly with q (exponent sizes are Θ(q·|e|));
-// soft-commitment algorithms are constant in q (U_i values are cached per
+// Hard openings are computed in a factored form. With W_ij = P/(e_i·e_j),
+// the per-position CRS constant V_i = g^{Σ_{j≠i} W_ij}, B the most
+// frequent message among positions j ≠ i and K the positions j ≠ i whose
+// message differs from B:
+//
+//   Λ_i = g^{z·P_i + Σ_{j≠i} m_j·W_ij}
+//       = S_i^z · V_i^B · g^{Σ_{j∈K} (m_j − B)·W_ij}
+//
+// since Σ_{j≠i} m_j·W_ij = B·Σ_{j≠i} W_ij + Σ_{j≠i} (m_j − B)·W_ij and the
+// terms outside K vanish. Both forms name the same residue mod N, so the
+// emitted Λ (and every proof) is byte-identical to the direct formula.
+// S_i^z and V_i^B go through per-position fixed-base tables (256- and
+// 128-bit exponents); only the K term pays a Θ(q·|e|)-bit exponentiation.
+//
+// Cost profile (matches the paper's Figure 4): qKGen / qHCom grow linearly
+// with q (exponent sizes are Θ(q·|e|)); so do qHOpen / qSOpen-of-hard for
+// generic message vectors (|K| = q − 2 when all differ), while on ZK-EDB
+// nodes with one trie child, whose other q − 1 positions share one
+// soft-backing digest (K = ∅), they cost two short table exponentiations,
+// constant in q.
+// Soft-commitment algorithms are constant in q (U_i values are cached per
 // key); verification is constant in q.
 #pragma once
 
@@ -52,6 +70,9 @@
 #include "mercurial/message.h"
 
 namespace desword::mercurial {
+
+/// Bit width of the qTMC randomizers (z, r0, r1, the trapdoor a).
+inline constexpr int kRandomizerBits = 256;
 
 /// Serializable public key material (derived values are recomputed).
 struct QtmcPublicKey {
@@ -80,10 +101,19 @@ struct QtmcCommitment {
 };
 
 struct QtmcHardDecommit {
-  std::vector<Bytes> messages;  // exactly q 16-byte messages
+  /// The q committed messages back to back, in one allocation: position i
+  /// occupies bytes [i·kMessageBytes, (i+1)·kMessageBytes).
+  Bytes messages;
   Bignum z;
   Bignum r0;
   Bignum r1;
+
+  /// Number of committed positions.
+  std::size_t arity() const { return messages.size() / kMessageBytes; }
+  /// The message at position `i` (< arity()).
+  BytesView message(std::size_t i) const {
+    return BytesView(messages).subspan(i * kMessageBytes, kMessageBytes);
+  }
 };
 
 struct QtmcSoftDecommit {
@@ -226,12 +256,19 @@ class QtmcScheme {
   void precompute_soft_bases() const;
 
   /// Builds fixed-base windowed tables for the CRS bases — g (sized for
-  /// the full λ-exponent width), h, h̃, and optionally every S_i — turning
-  /// each fixed-base exponentiation into ~len/4 Montgomery multiplications
-  /// with no squarings. One-time cost: a few plain exponentiations' worth
-  /// of work; memory: ~(P_bits/4)·16 residues for g plus ~512 residues per
-  /// S_i (≈2.5 MiB + q·128 KiB at RSA-2048, q=16). Idempotent and safe to
-  /// race; commits/opens/verifies pick the tables up once built.
+  /// its widest exponents, the U_i quotients and the K term of a hard
+  /// opening), h, h̃, and optionally the per-position
+  /// tables: S_i (randomizer-wide, for S_i^z and S_i^m) and V_i (message-
+  /// wide, for V_i^B in the factored hard opening) — turning each
+  /// fixed-base exponentiation into ~len/4 Montgomery multiplications with
+  /// no squarings. One-time cost: a few plain exponentiations' worth of
+  /// work plus one g exponentiation per V_i; memory: ~(P_bits/4)·15
+  /// residues for g (≈2.3 MiB at RSA-2048, q = 16) plus 1440 residues per
+  /// position (≈7 MiB at RSA-2048, q = 16, allocator overhead included).
+  /// The per-position tables are built on the first hard opening or
+  /// tease of a hard commitment when not requested earlier, so a
+  /// verify-only node never pays for them. Idempotent and safe to race;
+  /// commits/opens/verifies pick the tables up once built.
   ///
   /// Tables live in a process-wide registry keyed by the public key, so
   /// every QtmcScheme instance built from the same CRS (proxy sessions,
@@ -263,7 +300,7 @@ class QtmcScheme {
   // exactly once, under fb_mu_, BEFORE the release store of fb_*_ready_;
   // the acquire load in these accessors orders the pointer read after that
   // publication, and the pointed-to tables are immutable from then on.
-  // Every unlocked fb_* access in the scheme funnels through these four.
+  // Every unlocked fb_* access in the scheme funnels through these five.
   const ModExpContext::FixedBaseTable* fb_g_table() const
       DESWORD_NO_THREAD_SAFETY_ANALYSIS;
   const ModExpContext::FixedBaseTable* fb_h_table() const
@@ -272,7 +309,14 @@ class QtmcScheme {
       DESWORD_NO_THREAD_SAFETY_ANALYSIS;
   const std::vector<ModExpContext::FixedBaseTable>* fb_s_tables() const
       DESWORD_NO_THREAD_SAFETY_ANALYSIS;
-  Bignum lambda_exponent(const QtmcHardDecommit& dec, std::uint32_t pos) const;
+  const std::vector<ModExpContext::FixedBaseTable>* fb_v_tables() const
+      DESWORD_NO_THREAD_SAFETY_ANALYSIS;
+  /// precompute_fixed_bases, with the base (g, h, h̃) and per-position
+  /// (S_i, V_i) table sets requested separately.
+  void adopt_fixed_bases(bool base_tables, bool position_tables) const;
+  /// Λ_pos of a hard commitment, canonical, in the factored form above
+  /// (builds the per-position tables on first use).
+  Bignum hard_lambda(const QtmcHardDecommit& dec, std::uint32_t pos) const;
   /// Structural checks + emission of the main equation
   /// Λ^{e_pos}·S_pos^m·C1^τ == C0 shared by hard and soft openings.
   bool main_equation(const QtmcCommitment& com, std::uint32_t pos,
@@ -310,6 +354,8 @@ class QtmcScheme {
       DESWORD_GUARDED_BY(fb_mu_);
   mutable std::shared_ptr<const std::vector<ModExpContext::FixedBaseTable>>
       fb_s_ DESWORD_GUARDED_BY(fb_mu_);
+  mutable std::shared_ptr<const std::vector<ModExpContext::FixedBaseTable>>
+      fb_v_ DESWORD_GUARDED_BY(fb_mu_);
 };
 
 }  // namespace desword::mercurial

@@ -15,6 +15,7 @@
 #define DESWORD_OBS_COUNTERS(X)                                       \
   X(crypto_modexp_calls,        "crypto.modexp.calls")                \
   X(crypto_modexp_fb_hits,      "crypto.modexp.fixed_base_hits")      \
+  X(crypto_modexp_exp_bits,     "crypto.modexp.exp_bits")             \
   X(crypto_multi_exp_calls,     "crypto.multi_exp.calls")             \
   X(crypto_batch_folds,         "crypto.batch_verify.folds")          \
   X(crypto_batch_bisects,       "crypto.batch_verify.bisect_steps")   \

@@ -5,6 +5,8 @@
 
 #include <map>
 
+#include "common/error.h"
+#include "common/serial.h"
 #include "crypto/hash.h"
 #include "poc/poc.h"
 #include "supplychain/rfid.h"
@@ -100,6 +102,33 @@ TEST_F(PersistTest, CorruptedStateRejected) {
     const Bytes prefix(state.begin(), state.begin() + static_cast<long>(len));
     EXPECT_THROW(EdbProver::load(crs_, prefix), SerializationError) << len;
   }
+}
+
+TEST_F(PersistTest, InnerMessageOfWrongWidthRejected) {
+  // Re-encodes the blob with the first inner node's first message grown by
+  // `extra` zero bytes; everything else stays as serialized.
+  const Bytes state = prover_->serialize_state();
+  const auto reencode = [&state](std::size_t extra) {
+    BinaryReader r(state);
+    BinaryWriter w;
+    w.u32(r.u32());
+    w.u8(r.u8());
+    const std::uint64_t n_values = r.varint();
+    w.varint(n_values);
+    for (std::uint64_t i = 0; i < 2 * n_values; ++i) w.bytes(r.bytes());
+    w.varint(r.varint());  // inner node count
+    w.str(r.str());        // prefix
+    w.bytes(r.bytes());    // commitment
+    w.varint(r.varint());  // message count
+    Bytes message = r.bytes();
+    message.resize(message.size() + extra, 0);
+    w.bytes(message);
+    Bytes out = w.take();
+    append(out, BytesView(state).subspan(state.size() - r.remaining()));
+    return out;
+  };
+  ASSERT_EQ(reencode(0), state);
+  EXPECT_THROW(EdbProver::load(crs_, reencode(1)), SerializationError);
 }
 
 TEST_F(PersistTest, PocDecommitmentRoundTrip) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 
 #include "common/rng.h"
 #include "crypto/hash.h"
+#include "crypto/primes.h"
 #include "mercurial/qtmc.h"
 
 namespace desword::mercurial {
@@ -142,7 +145,7 @@ TEST_P(QtmcTest, HardAndSoftTeasesLookAlike) {
   const auto [hcom, hdec] = scheme_->hard_commit(make_messages(q_));
   const auto [scom, sdec] = scheme_->soft_commit();
   const QtmcTease th = scheme_->tease_hard(hdec, 0);
-  const QtmcTease ts = scheme_->tease_soft(sdec, 0, hdec.messages[0]);
+  const QtmcTease ts = scheme_->tease_soft(sdec, 0, hdec.message(0));
   EXPECT_EQ(th.serialize(keys_.pk.n).size(), ts.serialize(keys_.pk.n).size());
 }
 
@@ -216,6 +219,70 @@ TEST_P(QtmcTest, PrecomputeSoftBasesIsIdempotent) {
   const QtmcTease t = scheme_->tease_soft(dec, q_ - 1, msg16(5));
   EXPECT_TRUE(scheme_->verify_tease(com, t));
   scheme_->precompute_soft_bases();
+}
+
+// Λ_pos from the public key alone, through the direct exponent
+// (z·P + Σ_{j≠pos} m_j·P_j)/e_pos: no CRS tables, no factoring.
+Bignum reference_lambda(const QtmcScheme& scheme, const QtmcHardDecommit& dec,
+                        std::uint32_t pos) {
+  const QtmcPublicKey& pk = scheme.public_key();
+  const std::vector<Bignum> e = derive_primes(pk.prime_seed, pk.q, kPrimeBits);
+  Bignum p(1);
+  for (const Bignum& e_j : e) p *= e_j;
+  const Bignum p_pos = p.divided_by(e[pos]);
+  Bignum exponent = dec.z * p_pos;
+  for (std::uint32_t j = 0; j < pk.q; ++j) {
+    if (j == pos) continue;
+    exponent += message_to_scalar(dec.message(j)) * p_pos.divided_by(e[j]);
+  }
+  const Bignum x = scheme.modexp_context().exp(pk.g, exponent);
+  const Bignum neg = pk.n - x;
+  return neg < x ? neg : x;
+}
+
+// The factored opening must emit exactly the bytes of the direct formula,
+// whatever the message pattern around the opened position.
+TEST_P(QtmcTest, FactoredOpeningMatchesDirectFormula) {
+  const Bytes x = msg16(1);
+  const Bytes y = msg16(2);
+  const Bytes z = msg16(3);
+  struct Pattern {
+    std::string name;
+    std::function<Bytes(std::uint32_t j, std::uint32_t pos)> at;
+  };
+  const std::vector<Pattern> patterns = {
+      {"others_equal", [&](auto j, auto pos) { return j == pos ? y : x; }},
+      {"others_null",
+       [&](auto j, auto pos) { return j == pos ? y : null_message(); }},
+      {"one_exception",
+       [&](auto j, auto pos) {
+         return j == pos ? y : j == (pos + 1) % q_ ? z : x;
+       }},
+      {"all_distinct",
+       [&](auto j, auto) { return msg16(10 + static_cast<int>(j)); }},
+      {"tie",
+       [&](auto j, auto pos) { return j == pos ? y : j % 2 == 0 ? x : z; }},
+      {"pos_holds_majority",
+       [&](auto j, auto pos) { return j == (pos + 1) % q_ && q_ > 2 ? z : x; }},
+  };
+  const Bignum& n = keys_.pk.n;
+  for (const Pattern& pattern : patterns) {
+    for (std::uint32_t pos = 0; pos < q_; ++pos) {
+      std::vector<Bytes> msgs;
+      for (std::uint32_t j = 0; j < q_; ++j) msgs.push_back(pattern.at(j, pos));
+      const auto [com, dec] = scheme_->hard_commit(msgs);
+      const Bignum lambda = reference_lambda(*scheme_, dec, pos);
+      const QtmcOpening op = scheme_->hard_open(dec, pos);
+      EXPECT_EQ(op.serialize(n),
+                (QtmcOpening{pos, msgs[pos], dec.r0, lambda, dec.r1}
+                     .serialize(n)))
+          << pattern.name << " pos " << pos;
+      EXPECT_TRUE(scheme_->verify_open(com, op)) << pattern.name;
+      EXPECT_EQ(scheme_->tease_hard(dec, pos).serialize(n),
+                (QtmcTease{pos, msgs[pos], dec.r0, lambda}.serialize(n)))
+          << pattern.name << " pos " << pos;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Arity, QtmcTest,

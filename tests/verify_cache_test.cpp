@@ -280,6 +280,57 @@ TEST_F(VerifyCacheProtocolTest, RepeatedQuerySkipsProofRegeneration) {
   EXPECT_EQ(digest(first), digest(second));
 }
 
+TEST_F(VerifyCacheProtocolTest, ProofMemoStaysWithinItsByteBudget) {
+  // Bad-quality queries for products v0 never processed: each one is a
+  // fresh non-ownership proof, i.e. a memo miss that grows the memo.
+  proto::Participant& v0 = scenario_->participant("v0");
+  const poc::Poc* poc = v0.poc_for_task("t0");
+  ASSERT_NE(poc, nullptr);
+  const Bytes poc_bytes = poc->serialize();
+  net::SimTransport probe(scenario_->network());
+  std::size_t responses = 0;
+  probe.register_node("probe", [&](const net::Envelope&) { ++responses; });
+  std::uint64_t query_id = 1000;
+  // Returns whether v0 answered (a product whose test-sized trie key
+  // collides with a committed one gets no non-ownership proof).
+  const auto ask = [&](const ProductId& product) {
+    const std::size_t before = responses;
+    probe.send("probe", "v0", proto::msg::kQueryRequest,
+               proto::QueryRequest{++query_id, product,
+                                   proto::ProductQuality::kBad, poc_bytes}
+                   .serialize());
+    scenario_->network().run();
+    return responses > before;
+  };
+
+  // Sweep distinct products until the memo has had to clear once.
+  const std::size_t budget = proto::Participant::kProofMemoBudgetBytes;
+  const std::uint64_t generated0 = v0.stats().proofs_generated;
+  std::vector<ProductId> hot;
+  bool cleared = false;
+  for (const ProductId& product : make_products(9, 9, 4000)) {
+    const std::size_t before = v0.proof_memo_bytes();
+    if (ask(product) && hot.size() < 3) hot.push_back(product);
+    ASSERT_LE(v0.proof_memo_bytes(), budget);
+    if (v0.proof_memo_bytes() < before) {
+      cleared = true;
+      break;
+    }
+  }
+  EXPECT_TRUE(cleared) << "the sweep never filled the memo budget";
+  EXPECT_LT(v0.proof_memo_size(), v0.stats().proofs_generated - generated0);
+
+  // A hot set still hits the memo on repeat.
+  ASSERT_EQ(hot.size(), 3u);
+  for (const ProductId& product : hot) ask(product);
+  const std::uint64_t hits0 = obs::metric("protocol.proof.memo_hits").value();
+  const std::uint64_t generated1 = v0.stats().proofs_generated;
+  for (const ProductId& product : hot) ask(product);
+  EXPECT_EQ(obs::metric("protocol.proof.memo_hits").value(),
+            hits0 + hot.size());
+  EXPECT_EQ(v0.stats().proofs_generated, generated1);
+}
+
 TEST_F(VerifyCacheProtocolTest, ListReplacementBumpsEpochAndStalesEntries) {
   const ProductId& product = dist_.products[0];
   const auto first = query(product);

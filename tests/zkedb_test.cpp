@@ -4,6 +4,8 @@
 #include <memory>
 
 #include "crypto/hash.h"
+#include "mercurial/qtmc.h"
+#include "obs/metrics.h"
 #include "zkedb/prover.h"
 #include "zkedb/verifier.h"
 
@@ -231,6 +233,28 @@ TEST_P(ZkEdbTest, CommitmentIsCompact) {
 INSTANTIATE_TEST_SUITE_P(SoftModes, ZkEdbTest,
                          ::testing::Values(SoftMode::kShared,
                                            SoftMode::kPerChild));
+
+// Machine-independent prover work: on a single-key trie every inner node
+// has one trie child and shares one soft-backing digest at its other
+// positions, so each hard opening is S_i^z · V_i^B — two table
+// exponentiations of at most kRandomizerBits and 8·kMessageBytes bits.
+TEST(ZkEdbWorkTest, SingleChildOpeningsCostTwoShortExponentiations) {
+  const EdbCrsPtr crs = generate_crs(test_config(SoftMode::kShared));
+  const EdbKey key = key_of(*crs, "prod-1");
+  const EdbProver prover(crs, {{key, bytes_of("trace of prod-1")}});
+  (void)prover.prove_membership(key);  // builds the per-position tables
+
+  obs::Counter& exp_bits = obs::metric("crypto.modexp.exp_bits");
+  const std::uint64_t before = exp_bits.value();
+  const EdbMembershipProof proof = prover.prove_membership(key);
+  const std::uint64_t spent = exp_bits.value() - before;
+  EXPECT_TRUE(edb_verify_membership(*crs, prover.commitment(), key, proof));
+  const std::uint64_t per_level =
+      mercurial::kRandomizerBits + 8 * mercurial::kMessageBytes;
+  EXPECT_GT(spent, 0u);
+  EXPECT_LE(spent, crs->height() * per_level)
+      << "exponent bits per level: " << spent / crs->height();
+}
 
 TEST(ZkEdbParamsTest, DigitsRoundTrip) {
   EdbConfig cfg = test_config();
