@@ -19,9 +19,10 @@
 //     ordered, while distinct sessions verify concurrently.
 //
 // An `Executor` constructed with 0 workers runs every task inline on the
-// posting thread, reproducing single-threaded behavior exactly — the
-// protocol layer uses "no executor at all" for the bit-identical legacy
-// path and an inline executor only ever appears in tests.
+// posting thread; it only ever appears in tests. The protocol endpoints
+// never post to a strand directly: they go through `run_off_loop`
+// (src/desword/offload.h), where "inline" means "no strand" — the work and
+// its completion run in place, inside the calling handler.
 //
 // Lifetime rule: tasks capture raw pointers to their owner, so the owner
 // MUST `drain()` its strands/executor before destruction (the protocol

@@ -5,6 +5,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "crypto/hash.h"
+#include "desword/offload.h"
 #include "obs/metrics.h"
 #include "zkedb/proof.h"
 
@@ -66,24 +67,8 @@ obs::Counter& distribution_gaveup() {
 
 Participant::Participant(ParticipantId id, net::Transport& transport,
                          net::NodeId proxy, ParticipantDeps deps)
-    : Participant(std::move(id), nullptr, &transport, std::move(proxy),
-                  std::move(deps)) {}
-
-Participant::Participant(ParticipantId id, net::Network& network,
-                         net::NodeId proxy, CrsCachePtr crs_cache)
-    : Participant(std::move(id), std::make_unique<net::SimTransport>(network),
-                  nullptr, std::move(proxy),
-                  ParticipantDeps{std::move(crs_cache)}) {}
-
-Participant::Participant(ParticipantId id,
-                         std::unique_ptr<net::SimTransport> owned,
-                         net::Transport* transport, net::NodeId proxy,
-                         ParticipantDeps deps)
     : id_(std::move(id)),
-      owned_transport_(std::move(owned)),
-      transport_(owned_transport_ ? static_cast<net::Transport&>(
-                                        *owned_transport_)
-                                  : *transport),
+      transport_(transport),
       proxy_(std::move(proxy)),
       crs_cache_(std::move(deps.crs_cache)) {
   transport_.register_node(id_,
@@ -92,7 +77,7 @@ Participant::Participant(ParticipantId id,
 
 Participant::~Participant() {
   // Finish in-flight proof builds first: after the drain no worker touches
-  // this object (or its owned transport) again. Completions already posted
+  // this object (or its transport) again. Completions already posted
   // to the loop guard themselves with the aliveness token.
   if (strand_) strand_->drain();
   for (auto& [task_id, task] : tasks_) {
@@ -259,17 +244,11 @@ const poc::Poc* Participant::poc_for_task(const std::string& task_id) const {
 
 void Participant::handle(const net::Envelope& env) {
   DESWORD_DCHECK_ON_LOOP(transport_);
-  try {
-    dispatch(env);
-  } catch (const CheckError&) {
-    // Internal invariant violation: a DE-Sword bug, never input-dependent.
-    throw;
-  } catch (const Error&) {
-    // Malformed or adversarial message from the network: drop it
-    // (retransmission and the proxy's no-response handling recover the
-    // protocol). This covers decode failures and deeper rejections alike —
-    // e.g. a hostile peer shipping conflicting POCs or an unparseable ps.
-  }
+  // A malformed or adversarial message from the network is dropped
+  // (retransmission and the proxy's no-response handling recover the
+  // protocol). This covers decode failures and deeper rejections alike —
+  // e.g. a hostile peer shipping conflicting POCs or an unparseable ps.
+  apply_error_policy([&] { dispatch(env); });
 }
 
 void Participant::dispatch(const net::Envelope& env) {
@@ -612,8 +591,12 @@ Bytes Participant::maybe_corrupt_proof(const supplychain::ProductId& product,
 
 void Participant::set_reply_cache_capacity(std::size_t cap) {
   reply_cache_capacity_ = cap;
+  evict_replies(0);
+}
+
+void Participant::evict_replies(std::size_t headroom) {
   while (reply_cache_capacity_ > 0 &&
-         reply_cache_.size() > reply_cache_capacity_) {
+         reply_cache_.size() + headroom > reply_cache_capacity_) {
     reply_cache_.erase(reply_cache_lru_.back());
     reply_cache_lru_.pop_back();
     reply_cache_evictions().add();
@@ -647,70 +630,33 @@ void Participant::respond_cached(const net::Envelope& env,
     return;
   }
   reply_cache_misses().add();
-  if (!strand_) {
-    // Inline (legacy) mode: compute, cache, send — all in the handler.
-    Bytes payload = compute();
-    while (reply_cache_capacity_ > 0 &&
-           reply_cache_.size() >= reply_cache_capacity_) {
-      reply_cache_.erase(reply_cache_lru_.back());
-      reply_cache_lru_.pop_back();
-      reply_cache_evictions().add();
-    }
-    reply_cache_lru_.push_front(key);
-    reply_cache_[key] =
-        CachedReply{resp_type, payload, reply_cache_lru_.begin()};
-    transport_.send(id_, env.from, resp_type, std::move(payload));
-    return;
-  }
   in_flight_.emplace(key, InFlight{resp_type, {env.from}});
-  transport_.add_work();
-  std::weak_ptr<void> token = alive_;
-  // Raw Strand pointer is safe: the destructor (and rebind) drain the
-  // strand before releasing it, so the task never outlives *strand.
-  Strand* strand = strand_.get();
-  strand_->post([this, token, key, strand, compute = std::move(compute)] {
-    // Worker context: reply_cache_/in_flight_ are loop-owned and must not
-    // be touched here — results travel back through transport_.post.
-    DESWORD_DCHECK(strand->running_on_this_thread(),
-                   "proof task escaped its participant strand");
-    Bytes payload;
-    bool ok = true;
-    try {
-      payload = compute();
-    } catch (...) {
-      // Any failure clears the in-flight entry on the loop; a retransmitted
-      // request then recomputes from scratch.
-      ok = false;
-    }
-    // Post the completion BEFORE releasing the work bracket: the loop must
-    // never observe "no work pending" while a completion is still owed, or
-    // the simulator would declare quiescence and fire a stall-scan round.
-    transport_.post([this, token, key, ok, payload = std::move(payload)]() mutable {
-      if (token.expired()) return;
-      finish_in_flight(key, ok, std::move(payload));
-    });
-    transport_.remove_work();
-  });
+  run_off_loop(transport_, strand_.get(), alive_, std::move(compute),
+               [this, key](std::optional<Bytes> payload,
+                           std::exception_ptr error) {
+                 finish_in_flight(key, std::move(payload), error);
+               });
 }
 
-void Participant::finish_in_flight(const Bytes& key, bool ok, Bytes payload) {
+void Participant::finish_in_flight(const Bytes& key,
+                                   std::optional<Bytes> payload,
+                                   std::exception_ptr error) {
   DESWORD_DCHECK_ON_LOOP(transport_);
-  const auto it = in_flight_.find(key);
-  if (it == in_flight_.end()) return;
-  InFlight entry = std::move(it->second);
-  in_flight_.erase(it);
-  if (!ok) return;
-  while (reply_cache_capacity_ > 0 &&
-         reply_cache_.size() >= reply_cache_capacity_) {
-    reply_cache_.erase(reply_cache_lru_.back());
-    reply_cache_lru_.pop_back();
-    reply_cache_evictions().add();
+  auto node = in_flight_.extract(key);
+  if (node.empty()) return;
+  if (error) {
+    // The entry is gone either way, so a retransmitted request recomputes
+    // from scratch; a CheckError still propagates on the loop thread.
+    apply_error_policy([&] { std::rethrow_exception(error); });
+    return;
   }
+  const InFlight& entry = node.mapped();
+  evict_replies(1);
   reply_cache_lru_.push_front(key);
-  reply_cache_[key] = CachedReply{entry.resp_type, payload,
+  reply_cache_[key] = CachedReply{entry.resp_type, *payload,
                                   reply_cache_lru_.begin()};
   for (const net::NodeId& waiter : entry.waiters) {
-    transport_.send(id_, waiter, entry.resp_type, payload);
+    transport_.send(id_, waiter, entry.resp_type, *payload);
   }
 }
 

@@ -18,6 +18,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -65,13 +67,10 @@ struct ParticipantDeps {
 
 class Participant {
  public:
-  /// The one real constructor: every dependency travels in `deps`.
+  /// Every dependency travels in `deps`; the participant runs over
+  /// `transport`, which must outlive it.
   Participant(ParticipantId id, net::Transport& transport, net::NodeId proxy,
               ParticipantDeps deps);
-  /// Deprecated convenience shim (kept one release): runs over an
-  /// internally-owned SimTransport wrapping `network`.
-  Participant(ParticipantId id, net::Network& network, net::NodeId proxy,
-              CrsCachePtr crs_cache);
   ~Participant();
 
   Participant(const Participant&) = delete;
@@ -131,8 +130,8 @@ class Participant {
   /// on a per-participant strand (proof generation serialized per node,
   /// concurrent across nodes) and sent from the loop thread via
   /// `Transport::post()`. Without an executor (the default) every response
-  /// is computed inline in the handler, byte-identically to the historical
-  /// behavior. Must be called before query traffic arrives.
+  /// is computed inline in the handler. Must be called before query
+  /// traffic arrives.
   void set_executor(std::shared_ptr<Executor> executor);
 
   /// Rebounds the query-phase reply cache (LRU; 0 = unbounded). Shrinks
@@ -172,10 +171,6 @@ class Participant {
   }
 
  private:
-  Participant(ParticipantId id, std::unique_ptr<net::SimTransport> owned,
-              net::Transport* transport, net::NodeId proxy,
-              ParticipantDeps deps);
-
   struct TaskState {
     TaskSetup setup;
     Bytes ps;
@@ -272,21 +267,28 @@ class Participant {
   /// digest of the request (type + payload), so retransmitted requests get
   /// byte-identical responses without re-running proof generation.
   ///
-  /// With an executor attached, `compute` runs on the participant's strand
-  /// and the response is cached + sent from a posted loop-thread
-  /// completion; a duplicate request arriving while the original is still
-  /// being generated joins the in-flight entry (one proof generation, one
-  /// response delivery per request arrival). `compute` must be
-  /// self-contained (by-value captures only).
+  /// Every miss registers in `in_flight_` and runs `compute` through
+  /// run_off_loop: in place without an executor, on the participant's
+  /// strand with one. A duplicate request arriving while the original is
+  /// still being built joins the in-flight entry (one proof generation,
+  /// one response delivery per request arrival). `compute` must be
+  /// self-contained (by-value captures only). Whatever it throws reaches
+  /// finish_in_flight on the loop thread — in both modes, so a CheckError
+  /// from an offloaded build is a loud failure, never a silent
+  /// "no response" that the proxy would book against an honest node.
   void respond_cached(const net::Envelope& env, const std::string& resp_type,
                       std::function<Bytes()> compute);
-  /// Loop-thread completion of an offloaded `compute`: caches the payload,
-  /// answers every joined waiter. A failed compute (`ok == false`) just
-  /// clears the in-flight entry so a retransmission recomputes.
-  void finish_in_flight(const Bytes& key, bool ok, Bytes payload);
+  /// Loop-thread completion of `compute`: caches the payload and answers
+  /// every joined waiter. A failed compute clears the in-flight entry (a
+  /// retransmission recomputes) under apply_error_policy: an `Error`
+  /// drops the reply, a CheckError propagates out of the loop.
+  void finish_in_flight(const Bytes& key, std::optional<Bytes> payload,
+                        std::exception_ptr error);
+  /// Evicts least-recently-used replies until `headroom` more entries fit
+  /// under the capacity (0 = unbounded: evicts nothing).
+  void evict_replies(std::size_t headroom);
 
   ParticipantId id_;
-  std::unique_ptr<net::SimTransport> owned_transport_;  // compat ctor only
   net::Transport& transport_;
   net::NodeId proxy_;
   CrsCachePtr crs_cache_;
@@ -307,7 +309,8 @@ class Participant {
   std::map<Bytes, CachedReply> reply_cache_;  // request digest -> reply
   std::list<Bytes> reply_cache_lru_;          // most recently used first
   /// "In-flight" reply-cache state: requests whose response is being built
-  /// on the strand right now. Loop-thread only. `waiters` records every
+  /// right now (on the strand, or inline for the duration of the call).
+  /// Loop-thread only. `waiters` records every
   /// request arrival (original + joined duplicates); each gets its own
   /// response delivery when the build completes.
   struct InFlight {
@@ -332,7 +335,7 @@ class Participant {
   Stats stats_;
   net::Handler fallback_;
 
-  std::shared_ptr<Executor> executor_;  // null = inline (legacy) mode
+  std::shared_ptr<Executor> executor_;  // null = inline proof builds
   std::unique_ptr<Strand> strand_;      // per-participant proof ordering
   /// Aliveness token for posted completions: a completion that outlives
   /// this participant (weak_ptr expired) becomes a no-op instead of a

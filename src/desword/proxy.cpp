@@ -6,6 +6,7 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "crypto/hash.h"
+#include "desword/offload.h"
 #include "obs/metrics.h"
 
 namespace desword::protocol {
@@ -61,28 +62,8 @@ obs::Counter& hops_joined() {
 
 Proxy::Proxy(net::NodeId id, net::Transport& transport, ProxyDeps deps,
              ProxyConfig config)
-    : Proxy(std::move(id), nullptr, &transport, std::move(deps),
-            std::move(config)) {}
-
-Proxy::Proxy(net::NodeId id, net::Network& network, CrsCachePtr crs_cache,
-             ProxyConfig config)
-    : Proxy(std::move(id), std::make_unique<net::SimTransport>(network),
-            nullptr, ProxyDeps{std::move(crs_cache), nullptr, nullptr},
-            std::move(config)) {}
-
-Proxy::Proxy(net::NodeId id, net::Network& network, CrsCachePtr crs_cache,
-             zkedb::EdbCrsPtr crs, ProxyConfig config)
-    : Proxy(std::move(id), std::make_unique<net::SimTransport>(network),
-            nullptr, ProxyDeps{std::move(crs_cache), std::move(crs), nullptr},
-            std::move(config)) {}
-
-Proxy::Proxy(net::NodeId id, std::unique_ptr<net::SimTransport> owned,
-             net::Transport* transport, ProxyDeps deps, ProxyConfig config)
     : id_(std::move(id)),
-      owned_transport_(std::move(owned)),
-      transport_(owned_transport_ ? static_cast<net::Transport&>(
-                                        *owned_transport_)
-                                  : *transport),
+      transport_(transport),
       crs_cache_(std::move(deps.crs_cache)),
       config_(std::move(config)),
       // config_ is initialized before crs_ (declaration order), so a fresh
@@ -96,21 +77,24 @@ Proxy::Proxy(net::NodeId id, std::unique_ptr<net::SimTransport> owned,
   // precomputed power tables) instead of keeping a duplicate alive.
   crs_ = crs_cache_->put(crs_);
   ledger_.set_history_cap(config_.reputation_history_cap);
-  verify_policy_ = config_.effective_verify();
-  if (deps.verify_cache != nullptr) {
-    verify_cache_ = std::move(deps.verify_cache);
-  } else if (verify_policy_.cache_proofs || verify_policy_.cache_hops) {
-    verify_cache_ = std::make_shared<zkedb::VerifyCache>(
-        zkedb::VerifyCache::Config{verify_policy_.cache_capacity,
-                                   verify_policy_.cache_shards});
-  }
+  const VerifyPolicy& policy = config_.verify;
   zkedb::EdbVerifyOptions verify_opts;
-  verify_opts.batched = verify_policy_.batch_verify;
-  if (verify_policy_.cache_proofs) verify_opts.cache = verify_cache_;
+  verify_opts.batched = policy.batch_verify;
+  if (policy.cache) {
+    verify_cache_ = deps.verify_cache;
+    if (verify_cache_ == nullptr) {
+      verify_cache_ = std::make_shared<zkedb::VerifyCache>(
+          zkedb::VerifyCache::Config{policy.cache_capacity});
+    }
+    verify_opts.cache = verify_cache_;
+  }
   scheme_ = std::make_unique<poc::PocScheme>(crs_, verify_opts);
-  if (verify_policy_.worker_threads > 0) {
+  if (policy.worker_threads > 0) {
     obs::install_executor_metrics();
-    executor_ = std::make_shared<Executor>(verify_policy_.worker_threads);
+    executor_ = std::make_shared<Executor>(policy.worker_threads);
+    make_strand_ = [this] { return std::make_unique<Strand>(executor_); };
+  } else {
+    make_strand_ = [] { return std::unique_ptr<Strand>(); };
   }
   scheduler_ = std::make_unique<QueryScheduler>(
       config_.max_concurrent_queries,
@@ -150,7 +134,10 @@ std::vector<Proxy::QueueEntry> Proxy::poc_queue(
 
 void Proxy::handle(const net::Envelope& env) {
   DESWORD_DCHECK_ON_LOOP(transport_);
-  try {
+  // A malformed or adversarial message (bad framing, conflicting POCs,
+  // unknown groups, ...) is dropped; retransmission or the no-response
+  // path deals with the sender. Internal invariant failures propagate.
+  apply_error_policy([&] {
     switch (message_type_of(env.type)) {
       case MessageType::kPsRequest:
         on_ps_request(env, PsRequest::deserialize(env.payload));
@@ -187,16 +174,7 @@ void Proxy::handle(const net::Envelope& env) {
         if (fallback_) fallback_(env);
         break;
     }
-  } catch (const CheckError&) {
-    // Internal invariant violation: a DE-Sword bug, never input-dependent.
-    // Fail loudly instead of limping on with corrupt state.
-    throw;
-  } catch (const Error&) {
-    // Any other failure while decoding or absorbing the message means the
-    // bytes were adversarial or corrupt (malformed framing, conflicting
-    // POCs, unknown groups, ...): drop it. Retransmission or the
-    // no-response path will deal with the sender.
-  }
+  });
 }
 
 void Proxy::on_ps_request(const net::Envelope& env, const PsRequest& m) {
@@ -256,6 +234,7 @@ std::uint64_t Proxy::begin_query(const supplychain::ProductId& product,
   s.outcome.product = product;
   s.outcome.quality = quality;
   s.trace.set_query_id(query_id);
+  s.strand = make_strand_();
   if (config_.query_deadline > 0) {
     // The budget covers the whole query — scheduler queue time included:
     // a verdict owed to a customer is late no matter where the time went.
@@ -536,161 +515,55 @@ bool Proxy::absorb_ownership_result(Session& s, const OwnershipCheck& check) {
   return true;
 }
 
-template <typename R>
-void Proxy::verify_then(Session& s, std::function<R()> work,
-                        std::function<void(Session&, const R&)> done) {
-  if (!executor_) {
-    // Inline mode: byte-identical to the historical synchronous path.
-    const R result = work();
-    done(s, result);
-    return;
-  }
-  s.verifying = true;
-  if (!s.strand) s.strand = std::make_shared<Strand>(executor_);
-  const std::uint64_t query_id = s.outcome.query_id;
-  // Work-accounting bracket: add_work() here on the loop thread; the
-  // worker posts the verdict completion BEFORE remove_work(), so the loop
-  // never observes "no work pending" while a verdict is owed (SimTransport
-  // would otherwise fire stall-scan retransmission timers against a
-  // verifier that is merely busy, not silent).
-  transport_.add_work();
-  std::weak_ptr<void> token = alive_;
-  s.strand->post([this, token, query_id, strand = s.strand,
-                  work = std::move(work), done = std::move(done)]() mutable {
-    // Worker context: the session's strand serializes this body, and
-    // everything loop-owned (sessions_, timers, sends) stays out of it —
-    // the verdict travels back through transport_.post below.
-    DESWORD_DCHECK(strand->running_on_this_thread(),
-                   "verify task escaped its session strand");
-    std::optional<R> result;
-    std::exception_ptr error;
-    try {
-      result = work();
-    } catch (...) {
-      // check_* swallow adversarial Errors themselves; anything escaping
-      // is an internal invariant failure, rethrown on the loop thread.
-      error = std::current_exception();
-    }
-    transport_.post([this, token, query_id, result = std::move(result), error,
-                     done = std::move(done)]() mutable {
-      if (token.expired()) return;
-      resume_verify<R>(query_id, std::move(result), error, done);
-    });
-    transport_.remove_work();
-  });
-}
-
-template <typename R>
-void Proxy::resume_verify(std::uint64_t query_id, std::optional<R> result,
-                          std::exception_ptr error,
-                          const std::function<void(Session&, const R&)>& done) {
-  DESWORD_DCHECK_ON_LOOP(transport_);
-  const auto it = sessions_.find(query_id);
-  if (it == sessions_.end()) return;
-  Session& s = it->second;
-  s.verifying = false;
-  if (error) std::rethrow_exception(error);
-  if (s.phase == Phase::kDone) return;
-  try {
-    done(s, *result);
-  } catch (const CheckError&) {
-    throw;  // internal bug: fail loudly, exactly like handle()
-  } catch (const Error&) {
-    // Same policy as handle(): adversarial input aborts this continuation;
-    // the session's timers recover.
-  }
-}
-
 void Proxy::verify_hop_then(Session& s, const std::string& task_id,
                             poc::Poc poc, Bytes proof_bytes, bool ownership,
                             HopDone done) {
   const supplychain::ProductId product = s.outcome.product;
-  const char* kind = ownership ? "ownership" : "non_ownership";
+  // The key binds the FULL proof bytes (a tampered proof can never alias a
+  // cached acceptance or join a genuine one's flight); the epoch tag is the
+  // task's POC-list generation, so memo entries from before a list
+  // replacement are dead.
+  const std::uint64_t epoch = task_epoch(task_id);
+  Bytes key = zkedb::VerifyCache::hop_key(
+      task_id, poc.participant, product, poc.commitment, proof_bytes,
+      ownership ? "ownership" : "non_ownership");
+  if (verify_cache_) {
+    if (const auto hit = verify_cache_->lookup(key, epoch)) {
+      done(s, *hit);
+      return;
+    }
+  }
+
+  // Single-flight: the first arrival for this key runs the check;
+  // identical concurrent hops (other sessions racing the same proof
+  // bytes) just enqueue a waiter — one multi-exp, N verdict deliveries,
+  // mirroring the participant's reply-cache join.
+  s.verifying = true;
+  const auto [it, inserted] = hop_in_flight_.try_emplace(key);
+  it->second.push_back(HopWaiter{s.outcome.query_id, std::move(done)});
+  if (!inserted) {
+    hops_joined().add();
+    return;
+  }
   // Worker-safe: by-value captures plus the shared read-only scheme.
   // Ownership and non-ownership checks share the VerifyOutcome shape so
   // one memo serves both flavours.
-  std::function<zkedb::VerifyOutcome()> work =
-      [this, poc, product, proof_bytes, ownership] {
+  run_off_loop(
+      transport_, s.strand.get(), alive_,
+      [this, poc = std::move(poc), product,
+       proof_bytes = std::move(proof_bytes), ownership] {
         if (ownership) {
           OwnershipCheck c = check_ownership(poc, product, proof_bytes);
           return zkedb::VerifyOutcome{c.valid, std::move(c.trace_da)};
         }
         return zkedb::VerifyOutcome{
             check_non_ownership(poc, product, proof_bytes), std::nullopt};
-      };
-
-  if (!verify_cache_ || !verify_policy_.cache_hops) {
-    verify_then<zkedb::VerifyOutcome>(s, std::move(work), std::move(done));
-    return;
-  }
-
-  // The memo key binds the FULL proof bytes (a tampered proof can never
-  // alias a cached acceptance); the epoch tag is the task's POC-list
-  // generation, so entries from before a list replacement are dead.
-  const std::uint64_t epoch = task_epoch(task_id);
-  Bytes key = zkedb::VerifyCache::hop_key(task_id, poc.participant, product,
-                                          poc.commitment, proof_bytes, kind);
-  if (const auto hit = verify_cache_->lookup(key, epoch)) {
-    // Same calling context as the inline verify_then path: the enclosing
-    // handle()/resume discipline covers exceptions out of `done`.
-    done(s, *hit);
-    return;
-  }
-
-  if (!executor_) {
-    verify_then<zkedb::VerifyOutcome>(
-        s, std::move(work),
-        [this, key = std::move(key), epoch, done = std::move(done)](
-            Session& s, const zkedb::VerifyOutcome& o) {
-          verify_cache_->store(key, o, epoch);
-          done(s, o);
-        });
-    return;
-  }
-
-  // Executor mode: single-flight. The first arrival for this key runs the
-  // check on its strand; identical concurrent hops (other sessions racing
-  // the same proof bytes) just enqueue a waiter — one multi-exp, N
-  // verdict deliveries, mirroring the participant's reply-cache join.
-  const auto [it, inserted] = hop_in_flight_.try_emplace(key);
-  it->second.push_back(HopWaiter{s.outcome.query_id, std::move(done)});
-  if (!inserted) {
-    hops_joined().add();
-    s.verifying = true;  // resolved by finish_hop_verify
-    return;
-  }
-  start_hop_verify(s, std::move(key), epoch, std::move(work));
-}
-
-void Proxy::start_hop_verify(Session& s, Bytes key, std::uint64_t epoch,
-                             std::function<zkedb::VerifyOutcome()> work) {
-  s.verifying = true;
-  if (!s.strand) s.strand = std::make_shared<Strand>(executor_);
-  // Same work-accounting bracket as verify_then (see there); the verdict
-  // resolves through finish_hop_verify instead of resume_verify because
-  // resume's single-session early returns would strand joined waiters.
-  transport_.add_work();
-  std::weak_ptr<void> token = alive_;
-  s.strand->post([this, token, key = std::move(key), epoch, strand = s.strand,
-                  work = std::move(work)]() mutable {
-    DESWORD_DCHECK(strand->running_on_this_thread(),
-                   "hop verify task escaped its session strand");
-    std::optional<zkedb::VerifyOutcome> result;
-    std::exception_ptr error;
-    try {
-      result = work();
-    } catch (...) {
-      // check_* swallow adversarial Errors themselves; anything escaping
-      // is an internal invariant failure, rethrown on the loop thread.
-      error = std::current_exception();
-    }
-    transport_.post([this, token, key = std::move(key), epoch,
-                     result = std::move(result), error]() mutable {
-      if (token.expired()) return;
-      finish_hop_verify(key, epoch, std::move(result), error);
-    });
-    transport_.remove_work();
-  });
+      },
+      [this, key = std::move(key), epoch](
+          std::optional<zkedb::VerifyOutcome> result,
+          std::exception_ptr error) {
+        finish_hop_verify(key, epoch, std::move(result), error);
+      });
 }
 
 void Proxy::finish_hop_verify(const Bytes& key, std::uint64_t epoch,
@@ -698,23 +571,22 @@ void Proxy::finish_hop_verify(const Bytes& key, std::uint64_t epoch,
                               std::exception_ptr error) {
   DESWORD_DCHECK_ON_LOOP(transport_);
   auto node = hop_in_flight_.extract(key);
-  if (error) std::rethrow_exception(error);
-  const zkedb::VerifyOutcome& o = *result;
-  verify_cache_->store(key, o, epoch);
   if (node.empty()) return;
+  for (const HopWaiter& w : node.mapped()) {
+    const auto it = sessions_.find(w.query_id);
+    if (it != sessions_.end()) it->second.verifying = false;
+  }
+  if (error) {
+    // check_* turn adversarial input into an invalid verdict themselves;
+    // what escapes them is judged once for the whole flight.
+    apply_error_policy([&] { std::rethrow_exception(error); });
+    return;
+  }
+  if (verify_cache_) verify_cache_->store(key, *result, epoch);
   for (HopWaiter& w : node.mapped()) {
     const auto it = sessions_.find(w.query_id);
-    if (it == sessions_.end()) continue;
-    Session& ws = it->second;
-    ws.verifying = false;
-    if (ws.phase == Phase::kDone) continue;
-    try {
-      w.done(ws, o);
-    } catch (const CheckError&) {
-      throw;  // internal bug: fail loudly, exactly like handle()
-    } catch (const Error&) {
-      // Adversarial input aborts this continuation; timers recover.
-    }
+    if (it == sessions_.end() || it->second.phase == Phase::kDone) continue;
+    apply_error_policy([&] { w.done(it->second, *result); });
   }
 }
 

@@ -50,22 +50,19 @@ struct VerifyPolicy {
   /// (scalar per-opening checks when false).
   bool batch_verify = true;
   /// Crypto worker threads. 0 (the default) keeps every verification
-  /// inline in the transport loop — byte-identical to the historical
-  /// single-threaded behavior. With workers, `scheme().verify` runs on a
-  /// per-session strand and its verdict is posted back to the loop thread.
+  /// inline in the transport loop. With workers, `scheme().verify` runs on
+  /// a per-session strand and its verdict is posted back to the loop
+  /// thread (src/desword/offload.h).
   unsigned worker_threads = 0;
-  /// Memoize accepted ZK-EDB proof verdicts keyed on
-  /// digest(CRS ‖ commitment ‖ key ‖ full proof bytes). See
-  /// zkedb/verify_cache.h for why this is sound.
-  bool cache_proofs = true;
-  /// Memoize whole per-(task, participant, product, proof bytes) hop
-  /// verdicts across queries, epoch-versioned by POC-list generation, and
-  /// single-flight-join identical in-flight hop verifications.
-  bool cache_hops = true;
+  /// Memoize accepted verdicts at both layers: ZK-EDB proofs keyed on
+  /// digest(CRS ‖ commitment ‖ key ‖ full proof bytes) (see
+  /// zkedb/verify_cache.h for why this is sound), and whole
+  /// per-(task, participant, product, proof bytes) hop verdicts across
+  /// queries, epoch-versioned by POC-list generation.
+  bool cache = true;
   /// Total entry budget of the verification cache (shared by both layers
   /// unless an external cache is injected via ProxyDeps).
   std::size_t cache_capacity = 4096;
-  std::size_t cache_shards = 8;
 };
 
 struct ProxyConfig {
@@ -103,26 +100,11 @@ struct ProxyConfig {
   /// Verification policy: strategy, worker fan-out, cache knobs. Verdicts
   /// — and thus reputation penalties — are identical under every setting.
   VerifyPolicy verify;
-  /// Deprecated alias of `verify.batch_verify` (one release): effective
-  /// batching requires BOTH to stay true, so old call sites that clear
-  /// this still get scalar verification.
-  bool batch_verify = true;
-  /// Deprecated alias of `verify.worker_threads` (one release): a nonzero
-  /// value here wins over the nested field.
-  unsigned worker_threads = 0;
   /// Query sessions allowed to drive the transport at once; further
   /// `begin_query` calls queue in the scheduler until a slot frees
   /// (0 is treated as 1).
   std::size_t max_concurrent_queries = 8;
 
-  /// Folds the deprecated flat aliases into the nested policy.
-  VerifyPolicy effective_verify() const {
-    VerifyPolicy v = verify;
-    v.batch_verify = verify.batch_verify && batch_verify;
-    v.worker_threads =
-        worker_threads != 0 ? worker_threads : verify.worker_threads;
-    return v;
-  }
 };
 
 /// Collaborator handles of a Proxy, gathered so the constructor surface
@@ -137,16 +119,10 @@ struct ProxyDeps {
 
 class Proxy {
  public:
-  /// The one real constructor: every dependency travels in `deps`.
+  /// Every dependency travels in `deps`; the proxy runs over `transport`,
+  /// which must outlive it.
   Proxy(net::NodeId id, net::Transport& transport, ProxyDeps deps,
         ProxyConfig config);
-  /// Deprecated convenience shims (kept one release): run over an
-  /// internally-owned SimTransport wrapping `network`. New code should
-  /// construct a SimTransport and use the primary constructor.
-  Proxy(net::NodeId id, net::Network& network, CrsCachePtr crs_cache,
-        ProxyConfig config);
-  Proxy(net::NodeId id, net::Network& network, CrsCachePtr crs_cache,
-        zkedb::EdbCrsPtr crs, ProxyConfig config);
   ~Proxy();
 
   Proxy(const Proxy&) = delete;
@@ -265,11 +241,6 @@ class Proxy {
   std::string export_report_json() const;
 
  private:
-  /// All public ctors delegate here. Exactly one of `owned` / `transport`
-  /// is set; when `owned` is non-null the proxy keeps it alive and uses it.
-  Proxy(net::NodeId id, std::unique_ptr<net::SimTransport> owned,
-        net::Transport* transport, ProxyDeps deps, ProxyConfig config);
-
   enum class Phase : std::uint8_t { kInitialScan, kWalk, kReveal, kNextHop,
                                     kDone };
 
@@ -307,11 +278,12 @@ class Proxy {
     std::uint64_t backoff = 0;
     /// Absolute transport time the query budget runs out (0 = none).
     std::uint64_t deadline_at = 0;
-    // Off-loop verification: while a verdict is in flight on the strand the
-    // session ignores incoming protocol messages (it is not awaiting any —
-    // the response that triggered the verify already settled the timer).
+    // Hop verification: while a verdict is owed the session ignores
+    // incoming protocol messages (it is not awaiting any — the response
+    // that triggered the verify already settled the timer).
     bool verifying = false;
-    std::shared_ptr<Strand> strand;  // serializes this session's verifies
+    /// Serializes this session's verifies; null = inline verification.
+    std::unique_ptr<Strand> strand;
   };
 
   /// Worker-safe verdict of an ownership-proof check: `trace_da` carries
@@ -360,38 +332,22 @@ class Proxy {
                            const supplychain::ProductId& product,
                            const Bytes& proof_bytes) const;
 
-  /// Runs `work` and invokes `done(session, result)` on the loop thread.
-  /// Inline (no executor): both run synchronously, byte-identically to the
-  /// historical behavior. Async: `work` runs on the session's strand under
-  /// the transport work-accounting bracket (add_work before dispatch, the
-  /// worker posts the verdict *before* remove_work, so the loop never sees
-  /// "no work" while a completion is owed) and `done` runs from the posted
-  /// completion, guarded by the aliveness token and a fresh session lookup.
-  template <typename R>
-  void verify_then(Session& s, std::function<R()> work,
-                   std::function<void(Session&, const R&)> done);
-  template <typename R>
-  void resume_verify(std::uint64_t query_id, std::optional<R> result,
-                     std::exception_ptr error,
-                     const std::function<void(Session&, const R&)>& done);
-
   /// Continuation of a hop verdict. The verdict is a zkedb::VerifyOutcome
   /// so ownership (value = recovered trace da) and non-ownership checks
   /// share one memoizable shape.
   using HopDone = std::function<void(Session&, const zkedb::VerifyOutcome&)>;
 
-  /// Unified hop verification: consults the hop-level memo (epoch =
-  /// current POC-list generation of `task_id`), single-flight-joins an
-  /// identical in-flight verification, or schedules the check via
-  /// verify_then. `done` always runs on the loop thread.
+  /// The one hop verification path: consults the hop-level memo (epoch =
+  /// current POC-list generation of `task_id`) when caching is on, else
+  /// registers `done` in `hop_in_flight_` — an identical hop already in
+  /// flight is joined, not re-verified — and runs the check through
+  /// run_off_loop. `done` always runs on the loop thread.
   void verify_hop_then(Session& s, const std::string& task_id, poc::Poc poc,
                        Bytes proof_bytes, bool ownership, HopDone done);
-  /// Executor-mode miss path of verify_hop_then: runs `work` on the
-  /// session's strand and resolves ALL waiters registered under `key`
-  /// through finish_hop_verify (resume_verify would strand joined waiters
-  /// on its single-session early returns).
-  void start_hop_verify(Session& s, Bytes key, std::uint64_t epoch,
-                        std::function<zkedb::VerifyOutcome()> work);
+  /// Loop-thread completion of a hop check: stores an accepted verdict in
+  /// the memo (caching on) and resolves every waiter under `key` under
+  /// apply_error_policy — a CheckError out of the check propagates, an
+  /// `Error` drops the waiters' continuations.
   void finish_hop_verify(const Bytes& key, std::uint64_t epoch,
                          std::optional<zkedb::VerifyOutcome> result,
                          std::exception_ptr error);
@@ -424,7 +380,6 @@ class Proxy {
   const poc::PocScheme& scheme() const { return *scheme_; }
 
   net::NodeId id_;
-  std::unique_ptr<net::SimTransport> owned_transport_;  // compat ctors only
   net::Transport& transport_;
   CrsCachePtr crs_cache_;
   ProxyConfig config_;
@@ -454,16 +409,19 @@ class Proxy {
   SimRng backoff_rng_;
 
   std::shared_ptr<Executor> executor_;  // null = inline verification
+  /// Gives each new session its strand: null without workers. Picked once
+  /// in the constructor, so run_off_loop is the only code that tests the
+  /// inline-vs-worker mode.
+  std::function<std::unique_ptr<Strand>()> make_strand_;
   std::unique_ptr<QueryScheduler> scheduler_;
-  /// Effective verification policy (flat aliases already folded in).
-  VerifyPolicy verify_policy_;
   /// Verdict cache shared by the zkedb proof layer (via
   /// EdbVerifyOptions::cache) and the proxy hop memo. Null = caching off.
   zkedb::VerifyCachePtr verify_cache_;
   /// Single-flight registry for hop verifications (loop-thread only):
   /// hop key -> sessions awaiting that verdict. The first arrival runs
   /// the check; identical concurrent hops join and are all resolved by
-  /// finish_hop_verify (zkedb.cache.joined counts the joiners).
+  /// finish_hop_verify (zkedb.cache.joined counts the joiners). A join is
+  /// not a cache: it shares one verdict within one flight, in every mode.
   struct HopWaiter {
     std::uint64_t query_id = 0;
     HopDone done;

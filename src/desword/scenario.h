@@ -26,10 +26,10 @@ struct ScenarioConfig {
   ScorePolicy scores;
   std::uint64_t network_seed = 1;
   int max_retries = 3;
-  /// Forwarded to ProxyConfig::batch_verify (query-proof verification
+  /// Forwarded to VerifyPolicy::batch_verify (query-proof verification
   /// strategy; verdicts identical either way).
   bool batch_verify = true;
-  /// Forwarded to VerifyPolicy::{cache_proofs, cache_hops} — the proxy's
+  /// Forwarded to VerifyPolicy::cache — the proxy's
   /// epoch-versioned verification cache — and to every participant's
   /// `set_proof_memo` (repeated proofs of the same committed statement are
   /// served from memory). Verdicts and reputation are byte-identical
@@ -37,9 +37,8 @@ struct ScenarioConfig {
   /// is already determined.
   bool verify_cache = true;
   /// Crypto worker threads shared by the proxy and every participant
-  /// (forwarded to ProxyConfig::worker_threads; the proxy's executor is
-  /// handed to each participant via set_executor). 0 = inline crypto,
-  /// byte-identical to the historical single-threaded deployment.
+  /// (forwarded to VerifyPolicy::worker_threads; the proxy's executor is
+  /// handed to each participant via set_executor). 0 = inline crypto.
   unsigned worker_threads = 0;
   /// Forwarded to ProxyConfig::max_concurrent_queries.
   std::size_t max_concurrent_queries = 8;
@@ -48,9 +47,8 @@ struct ScenarioConfig {
   /// the same poll loop, the distribution phase is driven by the
   /// participants' own retry timers (instead of the harness re-kick loop),
   /// and a distribution give-up surfaces as a ProtocolError naming the
-  /// missing participants. When unset the legacy wiring (one SimTransport
-  /// per endpoint over the shared Network) is used, byte-identical to
-  /// before.
+  /// missing participants. When unset each endpoint runs over its own
+  /// SimTransport on the shared Network, driven by `network().run()`.
   std::optional<net::FaultPlan> fault_plan;
   /// Forwarded to ProxyConfig::query_deadline (0 = no budget).
   std::uint64_t query_deadline = 0;
@@ -70,10 +68,7 @@ class Scenario {
   net::Network& network() { return network_; }
   /// The transport the proxy runs over: the shared fault-injecting
   /// transport when `fault_plan` is set, the proxy's own otherwise.
-  net::Transport& transport() {
-    return fault_ ? static_cast<net::Transport&>(*fault_)
-                  : proxy_->transport();
-  }
+  net::Transport& transport() { return proxy_->transport(); }
   /// The fault injector, or nullptr when no `fault_plan` was configured.
   net::FaultInjector* fault_injector() { return fault_.get(); }
   Proxy& proxy() { return *proxy_; }
@@ -104,8 +99,9 @@ class Scenario {
   CrsCachePtr crs_cache_;
   // Declared before the endpoints: proxy/participant destructors cancel
   // their timers through these, so they must outlive them.
-  std::unique_ptr<net::SimTransport> sim_;       // fault mode only
-  std::unique_ptr<net::FaultInjector> fault_;    // fault mode only
+  // One SimTransport per endpoint, or a single shared one in fault mode.
+  std::vector<std::unique_ptr<net::SimTransport>> sims_;
+  std::unique_ptr<net::FaultInjector> fault_;  // fault mode only
   std::unique_ptr<Proxy> proxy_;
   std::map<ParticipantId, std::unique_ptr<Participant>> participants_;
   std::map<std::string, supplychain::DistributionResult> truths_;

@@ -51,12 +51,15 @@ std::size_t SimTransport::poll(int timeout_ms) {
   std::size_t events = network_.run_posted();
   events += network_.run();
   if (events > 0) return events;
-  if (network_.work_pending() > 0) {
-    // Off-loop crypto is still running: the network only *looks* drained —
-    // a completion is owed, so this is not quiescence and timers must hold
-    // their fire (a stall-scan round here would burn the retransmission
-    // budget against a prover that is merely busy, not silent). Block for
-    // the completion instead of busy-spinning the pump.
+  if (network_.work_pending() > 0 || network_.posted_pending() > 0) {
+    // Off-loop crypto is still running, or its completion landed after the
+    // run_posted() above (workers post BEFORE remove_work(), so reading
+    // work_pending() first and posted_pending() second misses none): the
+    // network only *looks* drained — a completion is owed, so this is not
+    // quiescence and timers must hold their fire (a stall-scan round here
+    // would burn the retransmission budget against a prover that is
+    // merely busy, not silent). Block for the completion instead of
+    // busy-spinning the pump.
     network_.wait_posted(timeout_ms > 0 ? timeout_ms : kWorkWaitMs);
     events = network_.run_posted();
     events += network_.run();

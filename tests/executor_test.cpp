@@ -1,17 +1,25 @@
 // Executor / Strand unit tests: task accounting, drain semantics, strand
-// serialization, inline mode, and the metric hooks.
+// serialization, inline mode, the metric hooks, and the protocol
+// endpoints' loop <-> worker handoff (desword/offload.h).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/error.h"
 #include "common/executor.h"
 #include "common/thread_pool.h"
+#include "desword/offload.h"
+#include "net/network.h"
+#include "net/transport.h"
 #include "obs/metrics.h"
 
 namespace desword {
@@ -165,6 +173,132 @@ TEST(ExecutorTest, ManyStrandsManyTasksStress) {
     EXPECT_EQ(counters[sidx].load(), kTasksPerStrand);
   }
 }
+
+// run_off_loop over a SimTransport, once with no strand (inline: work and
+// completion run before the call returns) and once on a strand of a
+// 2-worker executor (completion posted back to the loop thread).
+class OffloadTest : public ::testing::TestWithParam<bool> {
+ protected:
+  OffloadTest() : transport_(network_) {
+    if (GetParam()) {
+      executor_ = std::make_shared<Executor>(2);
+      strand_ = std::make_unique<Strand>(executor_);
+    }
+    transport_.poll(0);  // binds this thread as the loop thread
+  }
+  ~OffloadTest() override {
+    if (strand_) strand_->drain();
+  }
+
+  // Polls until `done` (bounded, so a lost completion fails, not hangs).
+  void poll_until(const bool& done) {
+    for (int i = 0; i < 500 && !done; ++i) transport_.poll(10);
+  }
+
+  // Runs `work` through the helper and returns the outcome it completed
+  // with; the completion must run on the loop thread.
+  template <typename Work>
+  std::pair<std::optional<int>, std::exception_ptr> offload(Work work) {
+    std::pair<std::optional<int>, std::exception_ptr> outcome;
+    bool done = false;
+    protocol::run_off_loop(
+        transport_, strand_.get(), alive_, std::move(work),
+        [&](std::optional<int> result, std::exception_ptr error) {
+          EXPECT_EQ(std::this_thread::get_id(), loop_thread_);
+          EXPECT_TRUE(transport_.on_loop_thread());
+          outcome = {result, error};
+          done = true;
+        });
+    // Inline completes before the call returns; a strand completes only
+    // from a later poll() on this thread.
+    EXPECT_EQ(done, !GetParam());
+    poll_until(done);
+    EXPECT_TRUE(done) << "completion never arrived";
+    return outcome;
+  }
+
+  net::Network network_;
+  net::SimTransport transport_;
+  std::shared_ptr<Executor> executor_;
+  std::unique_ptr<Strand> strand_;
+  std::shared_ptr<void> alive_ = std::make_shared<int>(0);
+  const std::thread::id loop_thread_ = std::this_thread::get_id();
+};
+
+TEST_P(OffloadTest, ValueReachesCompletionOnLoopThread) {
+  std::thread::id work_thread;
+  const auto [result, error] = offload([&] {
+    work_thread = std::this_thread::get_id();
+    return 42;
+  });
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(*result, 42);
+  EXPECT_FALSE(error);
+  // Inline runs the work in place; a strand runs it on a worker.
+  EXPECT_EQ(work_thread != loop_thread_, GetParam());
+  // The worker releases the work bracket after posting the completion.
+  if (strand_) strand_->drain();
+  EXPECT_EQ(network_.work_pending(), 0u);
+}
+
+TEST_P(OffloadTest, ErrorArrivesAsExceptionPtr) {
+  const auto [result, error] =
+      offload([]() -> int { throw ProtocolError("bad bytes"); });
+  EXPECT_FALSE(result.has_value());
+  ASSERT_TRUE(error);
+  EXPECT_THROW(std::rethrow_exception(error), ProtocolError);
+  // The policy drops an input-dependent Error ...
+  EXPECT_NO_THROW(
+      protocol::apply_error_policy([&] { std::rethrow_exception(error); }));
+}
+
+TEST_P(OffloadTest, CheckErrorArrivesAsExceptionPtr) {
+  const auto [result, error] =
+      offload([]() -> int { throw CheckError("broken invariant"); });
+  EXPECT_FALSE(result.has_value());
+  ASSERT_TRUE(error);
+  // ... but never an internal invariant failure.
+  EXPECT_THROW(
+      protocol::apply_error_policy([&] { std::rethrow_exception(error); }),
+      CheckError);
+}
+
+TEST_P(OffloadTest, NoTimerFiresWhileCompletionOwed) {
+  std::vector<std::string> events;
+  bool fired = false;
+  (void)transport_.set_timer(1, [&] {
+    events.push_back("timer");
+    fired = true;
+  });
+  std::atomic<bool> release{!GetParam()};
+  bool done = false;
+  protocol::run_off_loop(
+      transport_, strand_.get(), alive_,
+      [&release] {
+        while (!release.load()) std::this_thread::yield();
+        return 7;
+      },
+      [&](std::optional<int> result, std::exception_ptr) {
+        EXPECT_EQ(result, std::optional<int>(7));
+        events.push_back("complete");
+        done = true;
+      });
+  // Quiescent-looking network, pending timer, owed completion: the
+  // simulator must wait for the completion, not fire a stall-scan round.
+  for (int i = 0; i < 5; ++i) transport_.poll(5);
+  if (GetParam()) {
+    EXPECT_TRUE(events.empty());
+    release.store(true);
+    poll_until(done);
+  }
+  poll_until(fired);  // nothing owed any more: the timer is now due
+  EXPECT_EQ(events, (std::vector<std::string>{"complete", "timer"}));
+}
+
+INSTANTIATE_TEST_SUITE_P(InlineAndStrand, OffloadTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Strand" : "Inline";
+                         });
 
 }  // namespace
 }  // namespace desword

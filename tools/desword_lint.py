@@ -65,9 +65,11 @@ Rules (each can be waived on a specific line with a trailing
                 lambdas (worker context), loop-owned state must not be
                 touched: ``transport_.send/set_timer/cancel_timer``,
                 ``sessions_``, ``in_flight_``, ``reply_cache_*``,
-                ``scheduler_``, ``finish_in_flight``, ``resume_verify``.
-                Results must travel back to the loop thread through a
-                nested ``transport_.post(...)`` (those nested spans are
+                ``scheduler_``, ``finish_in_flight``,
+                ``finish_hop_verify``. The shared handoff helper
+                (``src/desword/offload.h``) is scanned too. Results must
+                travel back to the loop thread through a nested
+                ``transport_.post(...)`` (those nested spans are
                 exempt — they run on the loop). The runtime counterpart is
                 DESWORD_DCHECK_ON_LOOP; this rule catches the bug at
                 review time, in builds where DCHECKs are compiled out.
@@ -142,11 +144,13 @@ DECODE_PATH_FILES = {
     "src/poc/poc_list.cpp",
 }
 
-# Event-loop message handlers (rule handler-crypto): the files holding them
-# and the method names that run on the protocol loop thread.
+# Event-loop message handlers (rule handler-crypto) and worker dispatch
+# points (rule loop-affinity): the files holding them — the endpoints and
+# the loop <-> worker handoff helper they share.
 HANDLER_FILES = {
     "src/desword/proxy.cpp",
     "src/desword/participant.cpp",
+    "src/desword/offload.h",
 }
 RE_HANDLER_DEF = re.compile(
     r"\b(?:Proxy|Participant)::(on_\w+|handle|dispatch)\s*\(")
@@ -215,7 +219,7 @@ RE_LOOP_POST = re.compile(r"\btransport_?\s*(?:\.|->)\s*post\s*\(")
 RE_LOOP_OWNED = re.compile(
     r"\btransport_?\s*(?:\.|->)\s*(?:send|set_timer|cancel_timer)\s*\(|"
     r"\bsessions_\b|\bin_flight_\b|\breply_cache_\w*|\bscheduler_\b|"
-    r"\bfinish_in_flight\s*\(|\bresume_verify\b")
+    r"\bfinish_in_flight\s*\(|\bfinish_hop_verify\b")
 
 
 def balance_parens(text: str, open_idx: int,

@@ -12,7 +12,10 @@ look-alikes (exempt files, waived lines, sanctioned nested spans); its
 This driver runs the real Linter over every fixture root and compares the
 exact (rule, path, line) sets — missing findings, extra findings, and
 off-by-one line numbers all fail. It also fails if any lint rule has no
-fixture coverage, so adding a rule forces adding a fixture.
+fixture coverage, so adding a rule forces adding a fixture, and if a file
+the handler-crypto/loop-affinity rules name is missing from the real tree
+(a renamed endpoint or handoff helper would otherwise drop out of the
+scan silently).
 
 All paths derive from ``__file__``; the test passes from any working
 directory (ctest sets it to the build tree).
@@ -26,9 +29,10 @@ import sys
 TOOLS_DIR = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(TOOLS_DIR))
 
-from desword_lint import Linter  # noqa: E402  (needs sys.path above)
+from desword_lint import HANDLER_FILES, Linter  # noqa: E402  (sys.path)
 
 FIXTURES_DIR = TOOLS_DIR / "lint_fixtures"
+REPO_ROOT = TOOLS_DIR.parent
 
 # Every rule the linter implements must appear in at least one fixture's
 # expected set. Keep in sync with the rule list in desword_lint.py's
@@ -110,6 +114,10 @@ def main() -> int:
         print("FAIL: rules with no fixture coverage: "
               + ", ".join(sorted(uncovered)))
         all_ok = False
+    for rel in sorted(HANDLER_FILES):
+        if not (REPO_ROOT / rel).is_file():
+            print(f"FAIL: HANDLER_FILES names a missing file: {rel}")
+            all_ok = False
     unknown = covered - ALL_RULES
     if unknown:
         print("FAIL: fixtures expect unknown rules: "

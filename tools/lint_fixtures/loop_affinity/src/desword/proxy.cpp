@@ -6,14 +6,14 @@
 
 namespace desword {
 
-void Proxy::verify_then() {
+void Proxy::verify_hop_then() {
   strand->post([this] {
     sessions_.erase(7);
     transport_.send(id_, peer_, type_, {});
     scheduler_.finished(7);  // desword-lint: allow(loop-affinity)
     transport_.post([this] {
       finish_in_flight(key_, true, {});
-      resume_verify(7);
+      finish_hop_verify(key_, 7, {}, {});
     });
     transport_.remove_work();
   });
@@ -22,7 +22,7 @@ void Proxy::verify_then() {
 void Proxy::good_path() {
   s.strand->post([this] {
     auto verdict = work();
-    transport_.post([this, verdict] { resume_verify(verdict); });
+    transport_.post([this, verdict] { finish_hop_verify(verdict); });
   });
 }
 
