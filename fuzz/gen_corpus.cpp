@@ -143,7 +143,7 @@ void gen_wire(const fs::path& dir, std::mt19937& rng) {
   // Length prefix lies: claims more than the body that follows.
   Bytes partial = frame("v1", "proxy", msg::kPsRequest,
                         PsRequest{"task-2"}.serialize());
-  partial.resize(partial.size() - 3);
+  partial.erase(partial.end() - 3, partial.end());
   write_file(dir, "short_body.bin", partial);
   // Oversized length prefix (> kMaxFrameBytes): must throw, not allocate.
   write_file(dir, "huge_len.bin", Bytes{0xff, 0xff, 0xff, 0xff, 0x00});

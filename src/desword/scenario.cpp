@@ -11,7 +11,6 @@ constexpr const char* kProxyId = "proxy";
 Scenario::Scenario(supplychain::SupplyChainGraph graph, ScenarioConfig config)
     : graph_(std::move(graph)),
       config_(std::move(config)),
-      network_(config_.network_seed),
       crs_cache_(std::make_shared<CrsCache>()) {
   ProxyConfig proxy_config;
   proxy_config.edb = config_.edb;
@@ -122,21 +121,8 @@ const supplychain::DistributionResult& Scenario::run_task(
       idle_rounds = fault_->poll() == 0 ? idle_rounds + 1 : 0;
     }
   } else {
+    // The network is lossless, so one pass delivers the whole phase.
     network_.run();
-    // Retransmit the distribution phase if messages were dropped: re-kick
-    // the initiator a bounded number of times.
-    for (int attempt = 0; attempt < config_.max_retries; ++attempt) {
-      bool all_done = true;
-      for (const ParticipantId& id : result.involved) {
-        if (!participant(id).task_complete(task_id)) {
-          all_done = false;
-          break;
-        }
-      }
-      if (all_done && proxy_->task_list(task_id) != nullptr) break;
-      participant(dist.initial).initiate_task(task_id);
-      network_.run();
-    }
   }
   if (proxy_->task_list(task_id) == nullptr) {
     throw ProtocolError("distribution phase did not complete for " + task_id);

@@ -24,7 +24,6 @@ namespace desword::protocol {
 struct ScenarioConfig {
   zkedb::EdbConfig edb = {4, 6, 512, "p256", zkedb::SoftMode::kShared};
   ScorePolicy scores;
-  std::uint64_t network_seed = 1;
   int max_retries = 3;
   /// Forwarded to VerifyPolicy::batch_verify (query-proof verification
   /// strategy; verdicts identical either way).
@@ -44,11 +43,13 @@ struct ScenarioConfig {
   std::size_t max_concurrent_queries = 8;
   /// When set, the whole deployment shares ONE SimTransport wrapped in a
   /// FaultInjector driven by this plan: every endpoint's timers fire from
-  /// the same poll loop, the distribution phase is driven by the
-  /// participants' own retry timers (instead of the harness re-kick loop),
-  /// and a distribution give-up surfaces as a ProtocolError naming the
-  /// missing participants. When unset each endpoint runs over its own
-  /// SimTransport on the shared Network, driven by `network().run()`.
+  /// the same poll loop, so lost distribution messages are healed by the
+  /// participants' own retry timers, and a distribution give-up surfaces
+  /// as a ProtocolError naming the missing participants. Lossy tests start
+  /// from a clean plan and swap a lossy one in with
+  /// `fault_injector()->set_plan()` once distribution is done. When unset
+  /// each endpoint runs over its own SimTransport on the shared, lossless
+  /// Network, driven by `network().run()`.
   std::optional<net::FaultPlan> fault_plan;
   /// Forwarded to ProxyConfig::query_deadline (0 = no budget).
   std::uint64_t query_deadline = 0;

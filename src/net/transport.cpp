@@ -32,10 +32,13 @@ constexpr int kWorkWaitMs = 200;
 
 }  // namespace
 
-Transport::TimerId SimTransport::set_timer(std::uint64_t delay, TimerFn fn) {
+// `delay` is unused: poll() fires timers only at quiescence, in arming
+// order, so no deadline is ever compared (see the class comment).
+Transport::TimerId SimTransport::set_timer(std::uint64_t /*delay*/,
+                                           TimerFn fn) {
   if (!fn) throw ProtocolError("timer callback must be callable");
   const TimerId id = next_timer_id_++;
-  timers_.emplace(id, Timer{network_.now() + delay, std::move(fn)});
+  timers_.emplace(id, std::move(fn));
   timers_armed().add();
   return id;
 }
@@ -72,12 +75,12 @@ std::size_t SimTransport::poll(int timeout_ms) {
   // quiescent point, exactly like a fresh stall-scan round.
   std::vector<TimerId> due;
   due.reserve(timers_.size());
-  for (const auto& [id, timer] : timers_) due.push_back(id);
+  for (const auto& [id, fn] : timers_) due.push_back(id);
   std::size_t fired = 0;
   for (const TimerId id : due) {
     const auto it = timers_.find(id);
     if (it == timers_.end()) continue;  // cancelled by an earlier callback
-    TimerFn fn = std::move(it->second.fn);
+    TimerFn fn = std::move(it->second);
     timers_.erase(it);
     fn();
     ++fired;

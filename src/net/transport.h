@@ -199,14 +199,9 @@ class SimTransport final : public Transport {
   Network& network() { return network_; }
 
  private:
-  struct Timer {
-    std::uint64_t deadline = 0;
-    TimerFn fn;
-  };
-
   Network& network_;
   TimerId next_timer_id_ = 1;
-  std::map<TimerId, Timer> timers_;  // keyed by id == arming order
+  std::map<TimerId, TimerFn> timers_;  // keyed by id == arming order
 };
 
 }  // namespace desword::net

@@ -13,6 +13,7 @@
 // Plus unit coverage of the FaultInjector decorator itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -47,7 +48,7 @@ using supplychain::SupplyChainGraph;
 /// Two-node harness over a raw SimTransport recording deliveries at "b".
 struct InjectorRig {
   explicit InjectorRig(FaultPlan plan)
-      : network(1), sim(network), fault(sim, std::move(plan)) {
+      : sim(network), fault(sim, std::move(plan)) {
     fault.register_node("a", [](const net::Envelope&) {});
     fault.register_node("b", [this](const net::Envelope& env) {
       deliveries.push_back({env.type, env.payload});
@@ -149,8 +150,29 @@ TEST(FaultInjectorTest, DelayedFrameArrivesViaTimer) {
   EXPECT_EQ(rig.deliveries[0].second, Bytes{9});
 }
 
+TEST(FaultInjectorTest, DelayReordersFrames) {
+  FaultPlan plan;
+  plan.seed = 17;
+  plan.default_faults.delay_rate = 0.5;
+  InjectorRig rig(plan);
+  // Fates are payload-blind, so each frame gets its own type: 32 sends of
+  // one type would share a single delay draw.
+  for (int i = 0; i < 32; ++i) {
+    rig.fault.send("a", "b", "t" + std::to_string(i),
+                   Bytes{static_cast<std::uint8_t>(i)});
+  }
+  rig.pump();
+  ASSERT_EQ(rig.deliveries.size(), 32u) << "a delay must never lose a frame";
+  std::vector<int> order;
+  for (const auto& delivery : rig.deliveries) {
+    order.push_back(delivery.second[0]);
+  }
+  EXPECT_FALSE(std::is_sorted(order.begin(), order.end()))
+      << "delay should reorder at least one pair";
+}
+
 TEST(FaultInjectorTest, TeardownCancelsHeldFrames) {
-  net::Network network(1);
+  net::Network network;
   net::SimTransport sim(network);
   std::size_t delivered = 0;
   sim.register_node("a", [](const net::Envelope&) {});
@@ -454,7 +476,7 @@ TEST(ChaosDistributionTest, LostListSubmitIsResentUntilTheProxyHasIt) {
 TEST(ChaosDistributionTest, OrphanedDistributionMessagesAreCounted) {
   // A ps/report for a task the receiver never began must not vanish
   // silently — `net.distribution.orphaned` feeds `desword stats`.
-  net::Network network(1);
+  net::Network network;
   net::SimTransport sim(network);
   Participant participant(
       "p0", sim, "proxy",

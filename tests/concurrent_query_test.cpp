@@ -4,9 +4,9 @@
 //     joins the existing computation (one proof, two deliveries);
 //   * the query scheduler bounds in-flight sessions and admits queued ones
 //     as slots free;
-//   * ≥32 interleaved good/bad queries over a lossy, jittery SimTransport
-//     with 4 crypto workers produce verdicts and reputation identical to
-//     the single-threaded serial run.
+//   * ≥32 interleaved good/bad queries through a lossy, delaying
+//     FaultInjector with 4 crypto workers produce verdicts and reputation
+//     identical to the single-threaded serial run.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -15,6 +15,7 @@
 
 #include "desword/messages.h"
 #include "desword/scenario.h"
+#include "net/fault_injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -148,6 +149,7 @@ SweepResult run_sweep(unsigned worker_threads,
   ScenarioConfig cfg = fast_config();
   cfg.worker_threads = worker_threads;
   cfg.max_concurrent_queries = max_concurrent_queries;
+  cfg.fault_plan = net::FaultPlan{};  // distribution runs clean
   Scenario scenario(SupplyChainGraph::layered(5, 4, 2), cfg);
 
   std::vector<std::vector<supplychain::ProductId>> lots;
@@ -161,14 +163,19 @@ SweepResult run_sweep(unsigned worker_threads,
     lots.push_back(dist.products);
   }
 
-  // Drops and jitter on every link from here on: the query sweep sees
+  // Drops and delays on every link from here on: the query sweep sees
   // retransmissions and reordered deliveries (distribution ran clean so
-  // the deployment itself is identical across runs).
-  net::LinkPolicy lossy;
-  lossy.latency = 1;
-  lossy.jitter = 2;
-  lossy.drop_rate = 0.02;
-  scenario.network().set_default_policy(lossy);
+  // the deployment itself is identical across runs). The injector's fates
+  // do not depend on send order, so both schedulers face the same losses.
+  net::FaultPlan lossy;
+  lossy.default_faults.drop_rate = 0.02;
+  lossy.default_faults.delay_rate = 0.5;
+  lossy.default_faults.delay = 2;
+  scenario.fault_injector()->set_plan(lossy);
+  const std::uint64_t dropped_before =
+      obs::metric("net.fault.dropped").value();
+  const std::uint64_t delayed_before =
+      obs::metric("net.fault.delayed").value();
 
   QueryBehavior wrong_next;
   wrong_next.wrong_next[lots[0][0]] = "L4-0";
@@ -200,6 +207,9 @@ SweepResult run_sweep(unsigned worker_threads,
     }
   }
   result.reputation = scenario.proxy().reputation_snapshot();
+  // The plan must actually bite, or the equality below proves nothing.
+  EXPECT_GT(obs::metric("net.fault.dropped").value(), dropped_before);
+  EXPECT_GT(obs::metric("net.fault.delayed").value(), delayed_before);
   return result;
 }
 

@@ -11,12 +11,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/json.h"
 #include "common/thread_pool.h"
 #include "desword/scenario.h"
+#include "net/fault_injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -191,9 +193,14 @@ SupplyChainGraph chain_graph(std::size_t hops) {
 
 class ObsProtocolTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { deploy(std::nullopt); }
+
+  /// Builds the 8-hop deployment and runs its one task. With a plan, every
+  /// endpoint runs over a FaultInjector (swap faults in with set_plan()).
+  void deploy(std::optional<net::FaultPlan> fault_plan) {
     ScenarioConfig cfg;
     cfg.edb = zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+    cfg.fault_plan = std::move(fault_plan);
     scenario_ = std::make_unique<Scenario>(chain_graph(8), cfg);
     products_ = make_products(1, 1, 2);
     DistributionConfig dist;
@@ -262,11 +269,14 @@ TEST_F(ObsProtocolTest, GoodQueryProducesSpansAndMetricDeltas) {
 }
 
 TEST_F(ObsProtocolTest, LossyLinksFireRetransmitMetricAndSpans) {
+  // Distribution runs clean; then 30% loss on every link to/from the proxy.
+  deploy(net::FaultPlan{});
   const ProductId product = products_[0];
-  for (const auto& id : scenario_->graph().participants()) {
-    scenario_->network().set_link_policy("proxy", id, net::LinkPolicy{1, 0.3});
-    scenario_->network().set_link_policy(id, "proxy", net::LinkPolicy{1, 0.3});
-  }
+  net::LinkFaults loss;
+  loss.drop_rate = 0.3;
+  net::FaultPlan lossy;
+  lossy.rules = {{"proxy", "", loss}, {"", "proxy", loss}};
+  scenario_->fault_injector()->set_plan(lossy);
 
   auto& registry = obs::MetricsRegistry::global();
   registry.reset_for_test();
@@ -284,7 +294,7 @@ TEST_F(ObsProtocolTest, LossyLinksFireRetransmitMetricAndSpans) {
   // each firing landed in the trace.
   const std::uint64_t retransmits = obs::metric("net.retransmit.fired").value();
   EXPECT_GT(retransmits, 0u);
-  EXPECT_GT(obs::metric("net.frame.dropped").value(), 0u);
+  EXPECT_GT(obs::metric("net.fault.dropped").value(), 0u);
   const obs::QueryTrace* trace = scenario_->proxy().query_trace(query_id);
   ASSERT_NE(trace, nullptr);
   EXPECT_EQ(trace->count(obs::span::kRetransmit), retransmits);

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "desword/scenario.h"
+#include "net/fault_injector.h"
+#include "obs/metrics.h"
 
 namespace desword::protocol {
 namespace {
@@ -34,6 +37,30 @@ class ProtocolTest : public ::testing::Test {
     dist.products = products_;
     dist.seed = 42;
     scenario_->run_task("task-1", dist);
+  }
+
+  /// Rebuilds the deployment over a FaultInjector whose plan is `plan`
+  /// (clean by default). Lossy tests run distribution clean, then swap a
+  /// lossy plan in with `inject()`.
+  void use_fault_injector(int max_retries, net::FaultPlan plan = {}) {
+    ScenarioConfig cfg = fast_config();
+    cfg.max_retries = max_retries;
+    cfg.fault_plan = std::move(plan);
+    scenario_ = std::make_unique<Scenario>(SupplyChainGraph::paper_example(),
+                                           cfg);
+  }
+
+  void inject(net::FaultPlan plan) {
+    scenario_->fault_injector()->set_plan(std::move(plan));
+  }
+
+  /// A plan applying `faults` to every link to and from the proxy.
+  static net::FaultPlan proxy_links(std::uint64_t seed,
+                                    const net::LinkFaults& faults) {
+    net::FaultPlan plan;
+    plan.seed = seed;
+    plan.rules = {{"proxy", "", faults}, {"", "proxy", faults}};
+    return plan;
   }
 
   /// A product whose ground-truth path has at least `min_hops` hops.
@@ -558,41 +585,57 @@ TEST_F(ProtocolTest, MultiTaskQueuesAndQueries) {
   EXPECT_EQ(c.task_id, "task-c");
 }
 
+// Plan seeds for the lossy-link tests. Whether a walk completes at a given
+// loss rate depends on the fates the seed draws against the retry budget,
+// so each test asserts over every seed here rather than one chosen seed.
+constexpr std::uint64_t kLossSeeds[] = {1, 2,  3,  4,  5,  6,  7,  8,
+                                        9, 10, 11, 12, 13, 14, 15, 16};
+
 TEST_F(ProtocolTest, QuerySurvivesLossyLinks) {
-  run_task();
-  const ProductId product = product_with_path_length(3);
-  // Make every link to/from the proxy lossy AFTER the distribution phase.
-  for (const auto& id : scenario_->graph().participants()) {
-    scenario_->network().set_link_policy("proxy", id,
-                                         net::LinkPolicy{1, 0.3});
-    scenario_->network().set_link_policy(id, "proxy",
-                                         net::LinkPolicy{1, 0.3});
+  net::LinkFaults lossy;
+  lossy.drop_rate = 0.3;
+  for (const std::uint64_t seed : kLossSeeds) {
+    SCOPED_TRACE("plan seed " + std::to_string(seed));
+    // 30% loss each way: a hop's request AND response must both survive,
+    // so the retry budget is sized for that loss. With 3 retries 7 of these
+    // 16 seeds end in the specified kNoResponse give-up.
+    use_fault_injector(/*max_retries=*/8);
+    run_task();
+    const ProductId product = product_with_path_length(3);
+    // Make every link to/from the proxy lossy AFTER the distribution phase.
+    inject(proxy_links(seed, lossy));
+    const QueryOutcome outcome =
+        scenario_->proxy().run_query(product, ProductQuality::kGood);
+    EXPECT_TRUE(outcome.complete);
+    EXPECT_EQ(outcome.path, *scenario_->path_of(product));
   }
-  const QueryOutcome outcome =
-      scenario_->proxy().run_query(product, ProductQuality::kGood);
-  EXPECT_TRUE(outcome.complete);
-  EXPECT_EQ(outcome.path, *scenario_->path_of(product));
 }
 
 TEST_F(ProtocolTest, QuerySurvivesChaos) {
-  // Drops + duplicates + jitter on every proxy link at once: the protocol
+  // Drops + duplicates + delays on every proxy link at once: the protocol
   // must stay correct (idempotent handlers, phase-gated sessions,
-  // retransmission), not merely available.
-  run_task();
-  const ProductId product = product_with_path_length(3);
-  net::LinkPolicy chaos;
+  // retransmission), not merely available. On the simulated transport a
+  // delayed response is released only at quiescence, after the proxy's
+  // earlier-armed retransmit timer fired, so it costs a retry as a drop
+  // does; the budget is sized for both (with 6, one of these seeds gives
+  // up with kNoResponse).
+  net::LinkFaults chaos;
   chaos.drop_rate = 0.2;
   chaos.duplicate_rate = 0.3;
-  chaos.jitter = 7;
-  for (const auto& id : scenario_->graph().participants()) {
-    scenario_->network().set_link_policy("proxy", id, chaos);
-    scenario_->network().set_link_policy(id, "proxy", chaos);
-  }
-  for (int i = 0; i < 3; ++i) {
-    const QueryOutcome outcome =
-        scenario_->proxy().run_query(product, ProductQuality::kGood);
-    ASSERT_TRUE(outcome.complete) << "round " << i;
-    EXPECT_EQ(outcome.path, *scenario_->path_of(product));
+  chaos.delay_rate = 0.5;
+  chaos.delay = 7;
+  for (const std::uint64_t seed : kLossSeeds) {
+    SCOPED_TRACE("plan seed " + std::to_string(seed));
+    use_fault_injector(/*max_retries=*/8);
+    run_task();
+    const ProductId product = product_with_path_length(3);
+    inject(proxy_links(seed, chaos));
+    for (int i = 0; i < 3; ++i) {
+      const QueryOutcome outcome =
+          scenario_->proxy().run_query(product, ProductQuality::kGood);
+      ASSERT_TRUE(outcome.complete) << "round " << i;
+      EXPECT_EQ(outcome.path, *scenario_->path_of(product));
+    }
   }
 }
 
@@ -625,10 +668,13 @@ TEST_F(ProtocolTest, DistributionSurvivesDuplicatesAndJitter) {
   // chaos tests above only stress the query phase). Duplicated ps
   // responses, POCs and pair reports must all be absorbed idempotently,
   // and the resulting deployment must behave exactly like a clean one.
-  net::LinkPolicy noisy;
-  noisy.duplicate_rate = 0.3;
-  noisy.jitter = 9;
-  scenario_->network().set_default_policy(noisy);
+  net::FaultPlan noisy;
+  noisy.default_faults.duplicate_rate = 0.3;
+  noisy.default_faults.delay_rate = 0.5;
+  noisy.default_faults.delay = 9;
+  use_fault_injector(/*max_retries=*/3, noisy);
+  const std::uint64_t duplicated_before =
+      obs::metric("net.fault.duplicated").value();
   run_task();
 
   ASSERT_NE(scenario_->proxy().task_list("task-1"), nullptr);
@@ -643,19 +689,20 @@ TEST_F(ProtocolTest, DistributionSurvivesDuplicatesAndJitter) {
   for (const auto& hop : outcome.path) {
     EXPECT_DOUBLE_EQ(scenario_->proxy().reputation(hop), 1.0) << hop;
   }
-  EXPECT_GT(scenario_->network().total_stats().messages_duplicated, 0u);
+  EXPECT_GT(obs::metric("net.fault.duplicated").value(), duplicated_before);
 }
 
 TEST_F(ProtocolTest, DuplicatedRequestsServedFromReplyCache) {
+  use_fault_injector(/*max_retries=*/3);
   run_task();
   const ProductId product = product_with_path_length(3);
   // Deliver every proxy->participant request twice: participants answer
   // the copy from their reply cache instead of regenerating proofs.
-  net::LinkPolicy duplicate_all;
-  duplicate_all.duplicate_rate = 1.0;
-  for (const auto& id : scenario_->graph().participants()) {
-    scenario_->network().set_link_policy("proxy", id, duplicate_all);
-  }
+  net::LinkFaults twice;
+  twice.duplicate_rate = 1.0;
+  net::FaultPlan duplicate_all;
+  duplicate_all.rules = {{"proxy", "", twice}};
+  inject(duplicate_all);
   std::map<std::string, std::uint64_t> proofs_before;
   for (const auto& id : scenario_->graph().participants()) {
     proofs_before[id] = scenario_->participant(id).stats().proofs_generated;
