@@ -35,6 +35,19 @@ obs::Counter& multi_exp_calls() {
   return c;
 }
 
+/// Live (non-zero-exponent) terms per multi-exponentiation kernel run, and
+/// the sum of their exponent bit-lengths: machine-independent measures of
+/// the table-building and digit-multiply work a fold costs.
+obs::Counter& multi_exp_terms() {
+  static obs::Counter& c = obs::metric("crypto.multi_exp.terms");
+  return c;
+}
+
+obs::Counter& multi_exp_bits() {
+  static obs::Counter& c = obs::metric("crypto.multi_exp.exp_bits");
+  return c;
+}
+
 BN_CTX* scratch() {
   thread_local BN_CTX* c = BN_CTX_new();
   if (c == nullptr) throw CryptoError("BN_CTX_new failed");
@@ -185,12 +198,13 @@ unsigned window_digit(const BIGNUM* e, int j, int window) {
   return digit;
 }
 
-/// Multiplication-count estimate for Straus at window w: per-base tables
-/// (2^w − 1 entries each) + the shared squaring chain + one multiply per
-/// non-zero digit (≈ L/w per base).
+/// Multiplication-count estimate for sliding-window Straus at window w:
+/// per-base odd-power tables (2^{w−1} multiplies each, counting the one
+/// squaring) + the shared squaring chain + one multiply per window, of
+/// which a random L-bit exponent has ≈ L/(w+1).
 double straus_cost(std::size_t n, int bits, int w) {
   const double nd = static_cast<double>(n);
-  return nd * static_cast<double>((1 << w) - 1) + bits + nd * bits / w;
+  return nd * static_cast<double>(1 << (w - 1)) + bits + nd * bits / (w + 1);
 }
 
 /// Pippenger at window w: no per-base tables; every window pays one bucket
@@ -204,93 +218,128 @@ double pippenger_cost(std::size_t n, int bits, int w) {
 
 }  // namespace
 
+ModExpContext::MultiExpPlan ModExpContext::plan_multi_exp(std::size_t n,
+                                                          int max_bits) {
+  // Pick the algorithm/window pair with the lowest estimated multiplication
+  // count. Straus windows are capped at 8 (table memory is n·2^{w−1}
+  // residues); Pippenger buckets at 12 (2^w residues, amortized over many
+  // bases).
+  double best_cost = straus_cost(n, max_bits, 1);
+  MultiExpPlan plan;
+  for (int w = 1; w <= 12; ++w) {
+    if (w <= 8) {
+      const double c = straus_cost(n, max_bits, w);
+      if (c < best_cost) {
+        best_cost = c;
+        plan = MultiExpPlan{false, w};
+      }
+    }
+    const double c = pippenger_cost(n, max_bits, w);
+    if (c < best_cost) {
+      best_cost = c;
+      plan = MultiExpPlan{true, w};
+    }
+  }
+  return plan;
+}
+
 Bignum ModExpContext::multi_exp(const std::vector<ExpTerm>& terms) const {
   std::vector<const ExpTerm*> live;
   live.reserve(terms.size());
   int max_bits = 0;
+  std::uint64_t live_bits = 0;
   for (const ExpTerm& t : terms) {
     if (t.exponent.is_negative()) {
       throw CryptoError("ModExpContext::multi_exp: negative exponent");
     }
     if (t.exponent.is_zero()) continue;  // b^0 = 1
     max_bits = std::max(max_bits, t.exponent.bits());
+    live_bits += static_cast<std::uint64_t>(t.exponent.bits());
     live.push_back(&t);
   }
   if (live.empty()) return Bignum(1);
   if (live.size() == 1) return exp(live[0]->base, live[0]->exponent);
   multi_exp_calls().add();
+  multi_exp_terms().add(live.size());
+  multi_exp_bits().add(live_bits);
 
-  // Pick the algorithm/window pair with the lowest estimated multiplication
-  // count. Straus windows are capped at 8 (table memory is n·2^w residues);
-  // Pippenger buckets at 12 (2^w residues, amortized over many bases).
-  double best_cost = straus_cost(live.size(), max_bits, 1);
-  bool use_pippenger = false;
-  int best_w = 1;
-  for (int w = 1; w <= 12; ++w) {
-    if (w <= 8) {
-      const double c = straus_cost(live.size(), max_bits, w);
-      if (c < best_cost) {
-        best_cost = c;
-        best_w = w;
-        use_pippenger = false;
-      }
-    }
-    const double c = pippenger_cost(live.size(), max_bits, w);
-    if (c < best_cost) {
-      best_cost = c;
-      best_w = w;
-      use_pippenger = true;
-    }
-  }
-  return use_pippenger ? multi_exp_pippenger(live, max_bits, best_w)
-                       : multi_exp_straus(live, max_bits, best_w);
+  const MultiExpPlan plan = plan_multi_exp(live.size(), max_bits);
+  return plan.pippenger ? multi_exp_pippenger(live, max_bits, plan.window)
+                        : multi_exp_straus(live, max_bits, plan.window);
 }
 
 Bignum ModExpContext::multi_exp_straus(const std::vector<const ExpTerm*>& terms,
                                        int max_bits, int window) const {
   BN_CTX* ctx = scratch();
-  const std::size_t row = (std::size_t{1} << window) - 1;
-  // Per-base odd-and-even power tables: table[i][k-1] = base_i^k (Montgomery).
+  auto mont_mul_into = [&](Bignum& dst, const Bignum& a, const Bignum& b) {
+    if (BN_mod_mul_montgomery(dst.raw(), a.raw(), b.raw(), mont_, ctx) != 1) {
+      throw CryptoError("BN_mod_mul_montgomery failed");
+    }
+  };
+  // Per-base odd-power tables: table[i][k] = base_i^{2k+1} (Montgomery),
+  // built from base_i and one squaring base_i^2.
+  const std::size_t row = std::size_t{1} << (window - 1);
   std::vector<Bignum> table(terms.size() * row);
+  Bignum square;
   for (std::size_t i = 0; i < terms.size(); ++i) {
     Bignum* t = &table[i * row];
     const Bignum reduced = terms[i]->base.mod(modulus_);
     if (BN_to_montgomery(t[0].raw(), reduced.raw(), mont_, ctx) != 1) {
       throw CryptoError("BN_to_montgomery failed");
     }
-    for (std::size_t k = 2; k <= row; ++k) {
-      if (BN_mod_mul_montgomery(t[k - 1].raw(), t[k - 2].raw(), t[0].raw(),
-                                mont_, ctx) != 1) {
-        throw CryptoError("BN_mod_mul_montgomery failed");
-      }
-    }
+    if (row == 1) continue;
+    mont_mul_into(square, t[0], t[0]);
+    for (std::size_t k = 1; k < row; ++k) mont_mul_into(t[k], t[k - 1], square);
   }
 
-  // One squaring chain over the widest exponent, all bases interleaved.
-  const int blocks = (max_bits + window - 1) / window;
+  // Sliding windows, scanned from the top bit: a window opens on a set bit
+  // b, spans at most w bits down to b − w + 1, and closes on its lowest
+  // set bit, so every digit is odd and indexes the table directly. Each
+  // window becomes one event at the bit where it closes.
+  struct Window {
+    int low_bit;
+    std::uint32_t term;
+    std::uint32_t entry;  // (digit − 1) / 2
+  };
+  std::vector<Window> windows;
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    const BIGNUM* e = terms[i]->exponent.raw();
+    for (int b = terms[i]->exponent.bits() - 1; b >= 0;) {
+      if (!BN_is_bit_set(e, b)) {
+        --b;
+        continue;
+      }
+      int low = std::max(b - window + 1, 0);
+      while (!BN_is_bit_set(e, low)) ++low;
+      unsigned digit = 0;
+      for (int k = b; k >= low; --k) {
+        digit = (digit << 1) | (BN_is_bit_set(e, k) ? 1u : 0u);
+      }
+      windows.push_back(Window{low, static_cast<std::uint32_t>(i),
+                               static_cast<std::uint32_t>(digit >> 1)});
+      b = low - 1;
+    }
+  }
+  std::sort(windows.begin(), windows.end(),
+            [](const Window& a, const Window& b) {
+              return a.low_bit > b.low_bit;
+            });
+
+  // One squaring chain over the widest exponent, all bases interleaved:
+  // at bit j, square once, then multiply in every window closing at j.
   Bignum acc;
   bool have_acc = false;
-  for (int j = blocks - 1; j >= 0; --j) {
-    if (have_acc) {
-      for (int s = 0; s < window; ++s) {
-        if (BN_mod_mul_montgomery(acc.raw(), acc.raw(), acc.raw(), mont_,
-                                  ctx) != 1) {
-          throw CryptoError("BN_mod_mul_montgomery failed");
-        }
-      }
-    }
-    for (std::size_t i = 0; i < terms.size(); ++i) {
-      const unsigned digit = window_digit(terms[i]->exponent.raw(), j, window);
-      if (digit == 0) continue;
-      const Bignum& entry = table[i * row + (digit - 1)];
+  std::size_t next = 0;
+  for (int j = max_bits - 1; j >= 0; --j) {
+    if (have_acc) mont_mul_into(acc, acc, acc);
+    for (; next < windows.size() && windows[next].low_bit == j; ++next) {
+      const Window& win = windows[next];
+      const Bignum& entry = table[win.term * row + win.entry];
       if (!have_acc) {
         acc = entry;
         have_acc = true;
-        continue;
-      }
-      if (BN_mod_mul_montgomery(acc.raw(), acc.raw(), entry.raw(), mont_,
-                                ctx) != 1) {
-        throw CryptoError("BN_mod_mul_montgomery failed");
+      } else {
+        mont_mul_into(acc, acc, entry);
       }
     }
   }

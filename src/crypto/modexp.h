@@ -20,15 +20,26 @@
 // Multi-exponentiation: verification equations are products of powers
 // ∏ b_i^{x_i} under one modulus. multi_exp() evaluates the whole product
 // with a SINGLE shared squaring chain (the dominant cost of any
-// exponentiation) instead of one chain per base: Straus interleaving for
-// small batches (per-base window tables), Pippenger bucket aggregation for
-// large ones (per-window digit buckets, no per-base tables). The crossover
-// is picked from a multiplication-count model over the batch size and the
-// widest exponent.
+// exponentiation) instead of one chain per base: interleaved sliding-window
+// Straus for small batches, Pippenger bucket aggregation for large ones
+// (per-window digit buckets, no per-base tables). The crossover is picked
+// from a multiplication-count model over the batch size n and the widest
+// exponent L:
+//
+//   Straus(w)    = n·2^{w−1} + L + n·L/(w+1)
+//   Pippenger(w) = n + L + ceil(L/w)·(n + 2·(2^w − 1))
+//
+// Sliding-window Straus (Möller, "Algorithms for multi-exponentiation",
+// SAC 2001) keeps only the odd powers b, b^3, …, b^{2^w−1} per base — 2^{w−1}
+// residues, built with one squaring b^2 — and cuts each exponent into
+// windows of at most w bits that start and end on a set bit, so every
+// window digit is odd and a random exponent has ≈ L/(w+1) of them (fixed
+// w-bit windows need a 2^w − 1 entry table and ≈ L/w multiplies).
 #pragma once
 
 #include <openssl/bn.h>
 
+#include <cstddef>
 #include <vector>
 
 #include "crypto/bignum.h"
@@ -103,6 +114,15 @@ class ModExpContext {
   /// an empty (or all-zero-exponent) product returns 1. Negative exponents
   /// throw CryptoError.
   Bignum multi_exp(const std::vector<ExpTerm>& terms) const;
+
+  /// The kernel multi_exp() runs for `n` (>= 2) non-zero-exponent terms
+  /// whose widest exponent has `max_bits` bits, and its window: the pair
+  /// with the lowest estimated multiplication count (see the header note).
+  struct MultiExpPlan {
+    bool pippenger = false;  // false: sliding-window Straus
+    int window = 1;
+  };
+  static MultiExpPlan plan_multi_exp(std::size_t n, int max_bits);
 
  private:
   Bignum multi_exp_straus(const std::vector<const ExpTerm*>& terms,

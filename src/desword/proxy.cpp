@@ -228,6 +228,15 @@ std::uint64_t Proxy::begin_query(const supplychain::ProductId& product,
                                  ProductQuality quality,
                                  std::optional<std::string> task_hint) {
   DESWORD_DCHECK_ON_LOOP(transport_);
+  // Validate the hint before any session exists: a rejected query must not
+  // leave an unresolved session (or a sessions-active tick) behind.
+  const poc::PocList* hinted = nullptr;
+  if (task_hint.has_value()) {
+    hinted = task_list(*task_hint);
+    if (hinted == nullptr) {
+      throw ProtocolError("unknown task: " + *task_hint);
+    }
+  }
   const std::uint64_t query_id = next_query_id_++;
   Session& s = sessions_[query_id];
   s.outcome.query_id = query_id;
@@ -242,14 +251,12 @@ std::uint64_t Proxy::begin_query(const supplychain::ProductId& product,
   }
   queries_started().add();
   sessions_active().add(1);
+  ++in_flight_;
 
-  if (task_hint.has_value()) {
-    const poc::PocList* list = task_list(*task_hint);
-    if (list == nullptr) {
-      throw ProtocolError("unknown task: " + *task_hint);
-    }
-    for (const std::string& initial : list->initial_participants()) {
-      s.candidates.push_back(Candidate{initial, *task_hint, *list->find(initial)});
+  if (hinted != nullptr) {
+    for (const std::string& initial : hinted->initial_participants()) {
+      s.candidates.push_back(
+          Candidate{initial, *task_hint, *hinted->find(initial)});
     }
   } else {
     for (const auto& [initial, queue] : queues_) {
@@ -627,6 +634,7 @@ void Proxy::finish(Session& s, bool complete) {
                  complete ? "complete" : "incomplete");
   queries_completed().add();
   sessions_active().add(-1);
+  --in_flight_;
   apply_scores(s);
   if (completion_cb_) completion_cb_(s.outcome);
   // Free the concurrency slot last: this may synchronously launch (and
@@ -850,12 +858,7 @@ void Proxy::on_next_hop_response(const net::Envelope& env,
   query_current(s);
 }
 
-bool Proxy::has_active_sessions() const {
-  for (const auto& [qid, s] : sessions_) {
-    if (s.phase != Phase::kDone) return true;
-  }
-  return false;
-}
+bool Proxy::has_active_sessions() const { return in_flight_ != 0; }
 
 void Proxy::pump() {
   // Every in-flight session owns a retransmission timer, so progress is

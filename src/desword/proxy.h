@@ -403,6 +403,10 @@ class Proxy {
 
   std::uint64_t next_query_id_ = 1;
   std::map<std::uint64_t, Session> sessions_;
+  /// Sessions not yet kDone: counted at begin_query and finish (the same
+  /// two points as the sessions-active gauge), so pump() need not scan
+  /// every retained session per round.
+  std::size_t in_flight_ = 0;
   ReputationLedger ledger_;
   /// Jitter DRBG for backed-off retransmission delays (loop-thread-only,
   /// seeded from `ProxyConfig::backoff_seed` for reproducible runs).

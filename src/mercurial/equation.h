@@ -7,8 +7,10 @@
 // across many proofs — into a single multi-exponentiation (see
 // batch_verify.h). Terms reference the CRS bases (h, h̃-free: verification
 // never uses h̃; S_i) symbolically so the fold can merge their exponents:
-// h appears in every hard opening and S_i in every equation at position i,
-// which is where most of the batching win comes from.
+// h appears in every hard opening — twice, as h^{r1} == C1 and as the
+// h^{r1·τ} that stands in for C1^τ in its main equation — and S_i in every
+// equation at position i, which is where most of the batching win comes
+// from. Only Λ and a tease's C1 remain per-equation generic bases.
 #pragma once
 
 #include <cstdint>

@@ -593,7 +593,7 @@ bool QtmcScheme::elements_coprime(const std::vector<RsaEquation>& eqs,
 
 bool QtmcScheme::main_equation(const QtmcCommitment& com, std::uint32_t pos,
                                BytesView msg, const Bignum& tau,
-                               const Bignum& lambda,
+                               const Bignum& lambda, const Bignum* r1,
                                std::vector<RsaEquation>& out) const {
   if (pos >= pk_.q || msg.size() != kMessageBytes) return false;
   // Canonical-form checks only; coprimality with N is enforced by the
@@ -605,14 +605,20 @@ bool QtmcScheme::main_equation(const QtmcCommitment& com, std::uint32_t pos,
   }
   if (tau.is_negative() || tau.bits() > kMaxExponentBits) return false;
   // Λ^{e_pos} · S_pos^m · C1^τ == C0 (the S term drops for the null
-  // message, matching the scalar verifier).
+  // message, matching the scalar verifier). A hard opening writes C1^τ as
+  // h^{r1·τ}, which its companion equation h^{r1} == C1 makes equal in
+  // Z_N*/{±1}.
   RsaEquation eq;
   eq.lhs.push_back(RsaTerm{RsaTerm::Kind::kGeneric, 0, lambda, e_[pos]});
   const Bignum m = message_to_scalar(msg);
   if (!m.is_zero()) {
     eq.lhs.push_back(RsaTerm{RsaTerm::Kind::kS, pos, Bignum(), m});
   }
-  eq.lhs.push_back(RsaTerm{RsaTerm::Kind::kGeneric, 0, com.c1, tau});
+  if (r1 != nullptr) {
+    eq.lhs.push_back(RsaTerm{RsaTerm::Kind::kH, 0, Bignum(), *r1 * tau});
+  } else {
+    eq.lhs.push_back(RsaTerm{RsaTerm::Kind::kGeneric, 0, com.c1, tau});
+  }
   eq.rhs = com.c0;
   out.push_back(std::move(eq));
   return true;
@@ -623,10 +629,13 @@ bool QtmcScheme::open_equations(const QtmcCommitment& com,
                                 std::vector<RsaEquation>& out) const {
   if (op.r1.is_negative() || op.r1.bits() > kMaxExponentBits) return false;
   const std::size_t mark = out.size();
-  if (!main_equation(com, op.pos, op.message, op.tau, op.lambda, out)) {
+  if (!main_equation(com, op.pos, op.message, op.tau, op.lambda, &op.r1,
+                     out)) {
     return false;
   }
   // h^{r1} == C1 — the check that distinguishes hard openings from teases.
+  // Its RHS keeps C1 in the aggregated coprimality product even though the
+  // main equation no longer names C1.
   RsaEquation eq;
   eq.lhs.push_back(RsaTerm{RsaTerm::Kind::kH, 0, Bignum(), op.r1});
   eq.rhs = com.c1;
@@ -638,7 +647,7 @@ bool QtmcScheme::tease_equations(const QtmcCommitment& com,
                                  const QtmcTease& tease,
                                  std::vector<RsaEquation>& out) const {
   return main_equation(com, tease.pos, tease.message, tease.tau, tease.lambda,
-                       out);
+                       nullptr, out);
 }
 
 const Bignum& QtmcScheme::term_base(const RsaTerm& term) const {

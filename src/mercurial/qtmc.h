@@ -15,8 +15,11 @@
 //                               C0 = h̃^z · ∏_i S_i^{m_i} · C1^{r0}
 //     - hard open at i -> (m_i, τ=r0, Λ_i, r1) where
 //         Λ_i = g^{(z·P + Σ_{j≠i} m_j·P_j)/e_i}   (exactly divisible)
-//       check:  C1 = h^{r1}  and  Λ^{e_i} · S_i^{m_i} · C1^{τ} = C0
-//     - soft open (tease) at i -> same without r1.
+//       check:  C1 = h^{r1}  and  Λ^{e_i} · S_i^{m_i} · h^{r1·τ} = C0
+//       (the paper's Λ^{e_i} · S_i^{m_i} · C1^{τ} = C0 with C1^τ = h^{r1·τ},
+//       which the first equation makes exact in Z_N*/{±1})
+//     - soft open (tease) at i -> (m_i, τ, Λ) without r1;
+//       check:  Λ^{e_i} · S_i^{m_i} · C1^{τ} = C0
 //   Soft commit:  C1 = g^{r1} (gcd(r1, P) = 1),  C0 = g^{r0}
 //     - tease at any i to ANY m: pick τ ≡ (r0 − m·ρ_i)·r1^{-1} (mod e_i)
 //       with ρ_i = P_i mod e_i, then
@@ -190,8 +193,12 @@ class QtmcScheme {
   /// Equation-accumulator flavour of verify_open: runs the structural
   /// checks (position/message/exponent ranges, elements canonical in
   /// [1, (N−1)/2]) and, when they pass, appends the two product equations
-  /// `h^{r1} == C1` and `Λ^{e_pos}·S_pos^m·C1^τ == C0` — both compared in
-  /// Z_N*/{±1} — to `out`. Returns false (appending nothing) on
+  /// `h^{r1} == C1` and `Λ^{e_pos}·S_pos^m·h^{r1·τ} == C0` — both compared
+  /// in Z_N*/{±1} — to `out`. Given the first, h^{r1·τ} = C1^τ, so the pair
+  /// accepts exactly the openings of the paper's `…·C1^τ == C0`; writing
+  /// the power over h lets a batch fold merge it into the one h exponent
+  /// instead of carrying C1 as a separate base. Returns false (appending
+  /// nothing) on
   /// structural failure. Coprimality of the proof-supplied
   /// elements with N is NOT checked here — consumers enforce it in
   /// aggregate via elements_coprime (one gcd per opening in the scalar
@@ -317,11 +324,13 @@ class QtmcScheme {
   /// Λ_pos of a hard commitment, canonical, in the factored form above
   /// (builds the per-position tables on first use).
   Bignum hard_lambda(const QtmcHardDecommit& dec, std::uint32_t pos) const;
-  /// Structural checks + emission of the main equation
-  /// Λ^{e_pos}·S_pos^m·C1^τ == C0 shared by hard and soft openings.
+  /// Structural checks + emission of the main equation shared by hard and
+  /// soft openings: Λ^{e_pos}·S_pos^m·C1^τ == C0 for a tease (`r1` null),
+  /// Λ^{e_pos}·S_pos^m·h^{r1·τ} == C0 for a hard opening (see
+  /// open_equations).
   bool main_equation(const QtmcCommitment& com, std::uint32_t pos,
                      BytesView msg, const Bignum& tau, const Bignum& lambda,
-                     std::vector<RsaEquation>& out) const;
+                     const Bignum* r1, std::vector<RsaEquation>& out) const;
   /// x ∈ [1, (N−1)/2]: a nonzero canonical representative of Z_N*/{±1}.
   bool element_canonical(const Bignum& x) const;
 

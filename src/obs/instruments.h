@@ -17,6 +17,8 @@
   X(crypto_modexp_fb_hits,      "crypto.modexp.fixed_base_hits")      \
   X(crypto_modexp_exp_bits,     "crypto.modexp.exp_bits")             \
   X(crypto_multi_exp_calls,     "crypto.multi_exp.calls")             \
+  X(crypto_multi_exp_terms,     "crypto.multi_exp.terms")             \
+  X(crypto_multi_exp_exp_bits,  "crypto.multi_exp.exp_bits")          \
   X(crypto_batch_folds,         "crypto.batch_verify.folds")          \
   X(crypto_batch_bisects,       "crypto.batch_verify.bisect_steps")   \
   X(zkedb_commit_nodes,         "zkedb.commit.nodes")                 \

@@ -12,13 +12,17 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "crypto/hash.h"
+#include "crypto/primes.h"
 #include "desword/scenario.h"
 #include "mercurial/batch_verify.h"
+#include "mercurial/message.h"
+#include "obs/metrics.h"
 #include "zkedb/prover.h"
 #include "zkedb/verifier.h"
 
@@ -236,6 +240,159 @@ TEST_F(QtmcBatchTest, FixedBaseTablesSharedAcrossInstancesOfSameKey) {
 }
 
 // ---------------------------------------------------------------------------
+// The emitted hard-opening equations (h^{r1} == C1 and the main equation
+// with h^{r1·τ} in place of C1^τ) accept exactly the openings of the
+// paper's check. PaperOpenReference writes that check out directly, with
+// no equation layer, fixed-base table or fold.
+
+class PaperOpenReference {
+ public:
+  explicit PaperOpenReference(const mercurial::QtmcPublicKey& pk)
+      : pk_(pk), half_((pk.n - Bignum(1)).divided_by(Bignum(2))) {
+    primes_ = derive_primes(pk.prime_seed, pk.q, mercurial::kPrimeBits);
+    Bignum prod(1);
+    for (const Bignum& e : primes_) prod *= e;
+    for (const Bignum& e : primes_) {
+      s_.push_back(Bignum::mod_exp(pk.g, prod.divided_by(e), pk.n));
+    }
+  }
+
+  const Bignum& prime(std::uint32_t pos) const { return primes_[pos]; }
+
+  /// C1 = h^{r1} ∧ Λ^{e_i}·S_i^{m_i}·C1^τ = C0 in Z_N*/{±1}, every element
+  /// given by its canonical representative.
+  bool operator()(const mercurial::QtmcCommitment& com,
+                  const QtmcOpening& op) const {
+    if (op.pos >= pk_.q || op.message.size() != mercurial::kMessageBytes) {
+      return false;
+    }
+    if (op.r1.is_negative() || op.tau.is_negative()) return false;
+    for (const Bignum* x : {&com.c0, &com.c1, &op.lambda}) {
+      if (!element(*x)) return false;
+    }
+    const Bignum& n = pk_.n;
+    if (quotient(Bignum::mod_exp(pk_.h, op.r1, n)) != com.c1) return false;
+    Bignum lhs = Bignum::mod_exp(op.lambda, primes_[op.pos], n);
+    lhs = Bignum::mod_mul(
+        lhs,
+        Bignum::mod_exp(s_[op.pos], mercurial::message_to_scalar(op.message),
+                        n),
+        n);
+    lhs = Bignum::mod_mul(lhs, Bignum::mod_exp(com.c1, op.tau, n), n);
+    return quotient(lhs) == com.c0;
+  }
+
+ private:
+  /// A canonical representative of a unit of Z_N*/{±1}.
+  bool element(const Bignum& x) const {
+    return !x.is_zero() && !x.is_negative() && x <= half_ &&
+           Bignum::gcd(x, pk_.n).is_one();
+  }
+  Bignum quotient(const Bignum& x) const { return x > half_ ? pk_.n - x : x; }
+
+  mercurial::QtmcPublicKey pk_;
+  Bignum half_;
+  std::vector<Bignum> primes_;
+  std::vector<Bignum> s_;
+};
+
+TEST_F(QtmcBatchTest, EmittedEquationsMatchPaperCheck) {
+  const PaperOpenReference paper(keys_.pk);
+  const Bignum& n = keys_.pk.n;
+  struct Case {
+    std::string name;
+    mercurial::QtmcCommitment com;
+    QtmcOpening op;
+    bool valid;
+  };
+  std::vector<Case> cases;
+
+  // Three committed messages; position 3 holds the null message, whose
+  // main equation carries no S term.
+  const auto [com, dec] = scheme_->hard_commit(make_messages(3));
+  for (std::uint32_t pos = 0; pos < scheme_->arity(); ++pos) {
+    cases.push_back({"honest pos " + std::to_string(pos), com,
+                     scheme_->hard_open(dec, pos), true});
+  }
+  const QtmcOpening base = scheme_->hard_open(dec, 1);
+  const auto tampered = [&](const std::string& name, auto edit) {
+    Case c{name, com, base, false};
+    edit(c.com, c.op);
+    cases.push_back(std::move(c));
+  };
+  using Com = mercurial::QtmcCommitment;
+  tampered("r1 + 1", [](Com&, QtmcOpening& op) { op.r1 += Bignum(1); });
+  tampered("tau + 1", [](Com&, QtmcOpening& op) { op.tau += Bignum(1); });
+  tampered("lambda * g", [&](Com&, QtmcOpening& op) {
+    op.lambda = scheme_->canonical(Bignum::mod_mul(op.lambda, keys_.pk.g, n));
+  });
+  tampered("lambda sign-flipped", [&](Com&, QtmcOpening& op) {
+    op.lambda = n - op.lambda;
+  });
+  tampered("c0 * g", [&](Com& c, QtmcOpening&) {
+    c.c0 = scheme_->canonical(Bignum::mod_mul(c.c0, keys_.pk.g, n));
+  });
+  tampered("c1 * h", [&](Com& c, QtmcOpening&) {
+    c.c1 = scheme_->canonical(Bignum::mod_mul(c.c1, keys_.pk.h, n));
+  });
+  tampered("c1 = h^{r1+1} with r1 + 1", [&](Com& c, QtmcOpening& op) {
+    op.r1 += Bignum(1);
+    c.c1 = scheme_->canonical(Bignum::mod_exp(keys_.pk.h, op.r1, n));
+  });
+  tampered("message", [](Com&, QtmcOpening& op) { op.message = msg16(999); });
+  tampered("pos", [](Com&, QtmcOpening& op) { op.pos = 2; });
+  tampered("r1 = 0", [](Com&, QtmcOpening& op) { op.r1 = Bignum(); });
+
+  // A second valid opening of the same message: τ + e_i with Λ·C1^{−1}.
+  {
+    Case c{"tau + e_i, lambda / c1", com, base, true};
+    c.op.tau += paper.prime(c.op.pos);
+    c.op.lambda = scheme_->canonical(
+        Bignum::mod_mul(c.op.lambda, Bignum::mod_inverse(com.c1, n), n));
+    cases.push_back(std::move(c));
+  }
+  // A soft commitment's tease relabelled as a hard opening: no r1 the
+  // prover can name satisfies h^{r1} = C1.
+  {
+    const auto [soft_com, soft_dec] = scheme_->soft_commit();
+    const QtmcTease tease = scheme_->tease_soft(soft_dec, 2, msg16(7));
+    for (const Bignum& r1 : {soft_dec.r1, Bignum::rand_bits(256)}) {
+      cases.push_back({"soft tease as hard opening", soft_com,
+                       QtmcOpening{tease.pos, tease.message, tease.tau,
+                                   tease.lambda, r1},
+                       false});
+    }
+  }
+  // The trapdoor simulator's hard-lookalike opening verifies everywhere.
+  {
+    const auto [fake_com, fake_dec] = scheme_->fake_commit(keys_.trapdoor);
+    cases.push_back({"trapdoor fake opening", fake_com,
+                     scheme_->fake_open(fake_dec, keys_.trapdoor, 0, msg16(5)),
+                     true});
+  }
+
+  BatchVerifier all(*scheme_);
+  for (const Case& c : cases) {
+    const bool reference = paper(c.com, c.op);
+    EXPECT_EQ(reference, c.valid) << c.name;
+    EXPECT_EQ(scheme_->verify_open(c.com, c.op), reference) << c.name;
+    BatchVerifier one(*scheme_);
+    one.begin_unit();
+    one.add_open(c.com, c.op);
+    EXPECT_EQ(one.verify().all_ok, reference) << c.name;
+    all.begin_unit();
+    all.add_open(c.com, c.op);
+  }
+  // One mixed batch: the fold fails and bisection settles every unit.
+  const BatchVerifier::Result res = all.verify();
+  ASSERT_EQ(res.unit_ok.size(), cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(res.unit_ok[i], paper(cases[i].com, cases[i].op))
+        << cases[i].name;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // TMC leaf equations fold into the same batch.
 
 TEST(TmcBatchTest, LeafUnitsMatchScalar) {
@@ -418,6 +575,36 @@ TEST_F(EdbDifferentialTest, VerifyManyPinpointsTamperedProof) {
           << "proof " << i << " batched=" << batched;
     }
   }
+}
+
+TEST_F(EdbDifferentialTest, BatchedMembershipFoldsOneHBase) {
+  // Machine-independent pin on the fold size: a batched membership verify
+  // is one fold of two multi-exps. The RHS holds C1 and C0 of each of the
+  // h hard openings; the LHS one Λ per opening, one S_i per distinct digit
+  // and ONE merged h — at most h + q + 1 terms. Carrying C1^τ as its own
+  // base instead would add h more.
+  const EdbKey key = key_of(0);
+  const auto proof = prover_->prove_membership(key);
+  obs::Counter& calls = obs::metric("crypto.multi_exp.calls");
+  obs::Counter& terms = obs::metric("crypto.multi_exp.terms");
+  obs::Counter& bits = obs::metric("crypto.multi_exp.exp_bits");
+  const std::uint64_t calls0 = calls.value();
+  const std::uint64_t terms0 = terms.value();
+  const std::uint64_t bits0 = bits.value();
+  ASSERT_TRUE(
+      zk::edb_verify_membership(*crs_, prover_->commitment(), key, proof)
+          .has_value());
+  EXPECT_EQ(calls.value() - calls0, 2u);
+  EXPECT_GT(bits.value(), bits0);
+
+  const std::uint64_t h = crs_->height();
+  const std::uint64_t q = crs_->q();
+  const std::vector<std::uint32_t> digits = crs_->digits_of(key);
+  const std::uint64_t distinct_digits =
+      std::set<std::uint32_t>(digits.begin(), digits.end()).size();
+  const std::uint64_t lhs_terms = terms.value() - terms0 - 2 * h;
+  EXPECT_EQ(lhs_terms, h + distinct_digits + 1);
+  EXPECT_LE(lhs_terms, h + q + 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,11 @@
 // path with the reference implementation, and cross-CRS rejection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "crypto/bignum.h"
 #include "crypto/hash.h"
@@ -90,6 +95,108 @@ TEST(ModExpContextTest, SignedExponentInverts) {
 TEST(ModExpContextTest, RejectsEvenModulus) {
   EXPECT_THROW(ModExpContext(Bignum(100)), CryptoError);
   EXPECT_THROW(ModExpContext(Bignum(1)), CryptoError);
+}
+
+// multi_exp against the product of independent mod-exps, over every batch
+// size, exponent width and bit pattern a verification fold can hand it:
+// zero exponents (skipped), sub-window and window-boundary widths mixed
+// into wide batches, long zero runs (windows that close early) and all-ones
+// exponents (windows that never shrink). The sweep must drive both kernels.
+Bignum pow2(int k) {
+  Bignum x;
+  BN_set_bit(x.raw(), k);
+  return x;
+}
+
+/// Exponent `i` of a batch whose widest exponent is exactly `width` bits
+/// and whose kernel window is `window`.
+Bignum sweep_exponent(std::size_t i, int width, int window) {
+  const auto clip = [width](int bits) { return std::clamp(bits, 1, width); };
+  switch (i % 8) {
+    case 0:
+      return random_bn(width);
+    case 1:
+      return Bignum();  // zero: contributes 1
+    case 2:
+      return pow2(width) - Bignum(1);  // all ones
+    case 3: {  // long zero runs between three set bits
+      Bignum e = pow2(width - 1) + Bignum(1);
+      if (width > 2) e += pow2(width / 3);
+      return e;
+    }
+    case 4:
+      return random_bn(clip(window - 1));
+    case 5:
+      return random_bn(clip(window));
+    case 6:
+      return random_bn(clip(window + 1));
+    default: {
+      const auto span = static_cast<std::uint64_t>(width);
+      return random_bn(1 + static_cast<int>(random_u64() % span));
+    }
+  }
+}
+
+struct KernelsSeen {
+  bool straus = false;
+  bool pippenger = false;
+};
+
+/// Checks every (size, width) batch with size·width <= max_work.
+void multi_exp_sweep(int modulus_bits, std::size_t max_work,
+                     KernelsSeen& seen) {
+  Bignum n = random_bn(modulus_bits);
+  if (!n.is_odd()) n += Bignum(1);
+  const ModExpContext ctx(n);
+  for (const std::size_t size : {1, 2, 3, 17, 64, 300, 1000}) {
+    for (const int width : {1, 2, 3, 4, 5, 6, 7, 8, 9, 128, 264, 645, 2176}) {
+      if (size * static_cast<std::size_t>(width) > max_work) continue;
+      // sweep_exponent's case 1 is zero, so (size + 6) / 8 terms drop out;
+      // the kernel plans for the rest, and the narrower terms straddle its
+      // window.
+      const std::size_t live = size - (size + 6) / 8;
+      const ModExpContext::MultiExpPlan plan =
+          ModExpContext::plan_multi_exp(live, width);
+      if (live >= 2) (plan.pippenger ? seen.pippenger : seen.straus) = true;
+      std::vector<ModExpContext::ExpTerm> terms;
+      Bignum expected(1);
+      for (std::size_t i = 0; i < size; ++i) {
+        ModExpContext::ExpTerm t{random_bn(modulus_bits),
+                                 sweep_exponent(i, width, plan.window)};
+        expected = Bignum::mod_mul(
+            expected, Bignum::mod_exp(t.base.mod(n), t.exponent, n), n);
+        terms.push_back(std::move(t));
+      }
+      EXPECT_EQ(ctx.multi_exp(terms), expected)
+          << modulus_bits << "-bit modulus, n=" << size << ", width " << width;
+    }
+  }
+}
+
+TEST(ModExpContextTest, MultiExpMatchesProductOfModExps512) {
+  KernelsSeen seen;
+  multi_exp_sweep(512, std::size_t{1000} * 2176, seen);
+  EXPECT_TRUE(seen.straus);
+  EXPECT_TRUE(seen.pippenger);
+}
+
+TEST(ModExpContextTest, MultiExpMatchesProductOfModExps2048) {
+  KernelsSeen seen;
+  multi_exp_sweep(2048, std::size_t{64} * 2176, seen);
+  EXPECT_TRUE(seen.straus);
+  EXPECT_TRUE(seen.pippenger);
+}
+
+TEST(ModExpContextTest, MultiExpDegenerateBatches) {
+  const RsaModulus mod = generate_rsa_modulus(512);
+  const ModExpContext ctx(mod.n);
+  EXPECT_TRUE(ctx.multi_exp({}).is_one());
+  const std::vector<ModExpContext::ExpTerm> zeros = {
+      {random_bn(500), Bignum()}, {random_bn(500), Bignum()}};
+  EXPECT_TRUE(ctx.multi_exp(zeros).is_one());
+  const std::vector<ModExpContext::ExpTerm> negative = {
+      {random_bn(500), Bignum(3)}, {random_bn(500), Bignum(5).negated()}};
+  EXPECT_THROW(ctx.multi_exp(negative), CryptoError);
 }
 
 // Proofs generated under one CRS must never verify under another, even

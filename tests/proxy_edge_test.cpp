@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "common/json.h"
 #include "desword/scenario.h"
+#include "obs/metrics.h"
 
 namespace desword::protocol {
 namespace {
@@ -200,6 +202,30 @@ TEST(ProxyEdgeTest, JsonReportExport) {
     EXPECT_EQ(e.at("query_id").as_int(),
               static_cast<std::int64_t>(outcome.query_id));
   }
+}
+
+TEST(ProxyEdgeTest, UnknownTaskHintLeavesNoSession) {
+  Scenario scenario(SupplyChainGraph::paper_example(), fast_config());
+  DistributionConfig dist;
+  dist.initial = "v0";
+  dist.products = make_products(1, 0, 2);
+  scenario.run_task("task-1", dist);
+
+  obs::Gauge& active = obs::gauge_metric("protocol.sessions.active");
+  const std::int64_t active_before = active.value();
+  EXPECT_THROW(scenario.proxy().run_query(dist.products[0],
+                                          ProductQuality::kGood,
+                                          std::string("no-such-task")),
+               ProtocolError);
+  EXPECT_FALSE(scenario.proxy().has_active_sessions());
+  EXPECT_EQ(active.value(), active_before);
+
+  // The rejected hint must not wedge the next valid query's pump.
+  const QueryOutcome outcome =
+      scenario.proxy().run_query(dist.products[0], ProductQuality::kGood);
+  EXPECT_TRUE(outcome.complete);
+  EXPECT_FALSE(scenario.proxy().has_active_sessions());
+  EXPECT_EQ(active.value(), active_before);
 }
 
 TEST(ProxyEdgeTest, LedgerDefaultsToZero) {
