@@ -81,12 +81,7 @@ Proxy::Proxy(net::NodeId id, net::Transport& transport, ProxyDeps deps,
   zkedb::EdbVerifyOptions verify_opts;
   verify_opts.batched = policy.batch_verify;
   if (policy.cache) {
-    verify_cache_ = deps.verify_cache;
-    if (verify_cache_ == nullptr) {
-      verify_cache_ = std::make_shared<zkedb::VerifyCache>(
-          zkedb::VerifyCache::Config{policy.cache_capacity});
-    }
-    verify_opts.cache = verify_cache_;
+    verify_cache_ = std::make_unique<zkedb::VerifyCache>(policy.cache_capacity);
   }
   scheme_ = std::make_unique<poc::PocScheme>(crs_, verify_opts);
   if (policy.worker_threads > 0) {

@@ -54,14 +54,12 @@ struct VerifyPolicy {
   /// a per-session strand and its verdict is posted back to the loop
   /// thread (src/desword/offload.h).
   unsigned worker_threads = 0;
-  /// Memoize accepted verdicts at both layers: ZK-EDB proofs keyed on
-  /// digest(CRS ‖ commitment ‖ key ‖ full proof bytes) (see
-  /// zkedb/verify_cache.h for why this is sound), and whole
-  /// per-(task, participant, product, proof bytes) hop verdicts across
-  /// queries, epoch-versioned by POC-list generation.
+  /// Memoize accepted hop verdicts across queries: one entry per
+  /// (task, participant, product, commitment, full proof bytes), versioned
+  /// by the task's POC-list generation (see zkedb/verify_cache.h for why
+  /// this is sound). The hop memo is the only verdict memo.
   bool cache = true;
-  /// Total entry budget of the verification cache (shared by both layers
-  /// unless an external cache is injected via ProxyDeps).
+  /// Entry budget of the hop memo (LRU beyond it).
   std::size_t cache_capacity = 4096;
 };
 
@@ -109,12 +107,10 @@ struct ProxyConfig {
 
 /// Collaborator handles of a Proxy, gathered so the constructor surface
 /// stays one signature as dependencies accrue. Only `crs_cache` is
-/// mandatory; a null `crs` derives a fresh CRS from ProxyConfig::edb, a
-/// null `verify_cache` lets the proxy own one sized by its VerifyPolicy.
+/// mandatory; a null `crs` derives a fresh CRS from ProxyConfig::edb.
 struct ProxyDeps {
   CrsCachePtr crs_cache;
   zkedb::EdbCrsPtr crs;
-  zkedb::VerifyCachePtr verify_cache;
 };
 
 class Proxy {
@@ -181,9 +177,6 @@ class Proxy {
   /// The crypto executor (null when `worker_threads == 0`). Scenarios hand
   /// this to participants so one worker pool serves the whole deployment.
   const std::shared_ptr<Executor>& executor() const { return executor_; }
-
-  /// The verification cache in use (null when caching is disabled).
-  const zkedb::VerifyCachePtr& verify_cache() const { return verify_cache_; }
 
   /// Outcome of a finished query (nullptr while in flight / unknown).
   const QueryOutcome* outcome(std::uint64_t query_id) const;
@@ -418,9 +411,10 @@ class Proxy {
   /// inline-vs-worker mode.
   std::function<std::unique_ptr<Strand>()> make_strand_;
   std::unique_ptr<QueryScheduler> scheduler_;
-  /// Verdict cache shared by the zkedb proof layer (via
-  /// EdbVerifyOptions::cache) and the proxy hop memo. Null = caching off.
-  zkedb::VerifyCachePtr verify_cache_;
+  /// The hop memo, sized by VerifyPolicy::cache_capacity; touched only on
+  /// the loop thread (verify_hop_then, finish_hop_verify). Null = caching
+  /// off.
+  std::unique_ptr<zkedb::VerifyCache> verify_cache_;
   /// Single-flight registry for hop verifications (loop-thread only):
   /// hop key -> sessions awaiting that verdict. The first arrival runs
   /// the check; identical concurrent hops join and are all resolved by

@@ -13,28 +13,49 @@
 //     scalar re-checks behind the bisection on failure (see
 //     mercurial/batch_verify.h for the soundness argument).
 //
-// Both flavours return a `VerifyOutcome` (verify_cache.h): `ok` is the
-// verdict; memberships additionally carry the proven value D(key).
+// Both flavours return a `VerifyOutcome`: `ok` is the verdict;
+// memberships additionally carry the proven value D(key).
 #pragma once
 
+#include <optional>
+#include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "zkedb/proof.h"
-#include "zkedb/verify_cache.h"
 
 namespace desword::zkedb {
 
+/// Uniform result of a proof verification: `ok` is the verdict; `value`
+/// carries the proven value for memberships (absent for non-memberships).
+/// One shape for both proof flavours, so callers and the proxy's hop memo
+/// handle them identically.
+struct VerifyOutcome {
+  bool ok = false;
+  std::optional<Bytes> value;
+
+  /// True iff the proof was accepted AND proves a value (membership).
+  bool has_value() const { return ok && value.has_value(); }
+  const Bytes& operator*() const { return *value; }
+  const Bytes* operator->() const { return &*value; }
+  explicit operator bool() const { return ok; }
+
+  bool operator==(const VerifyOutcome&) const = default;
+
+  static VerifyOutcome accept() { return VerifyOutcome{true, std::nullopt}; }
+  static VerifyOutcome accept_value(Bytes v) {
+    return VerifyOutcome{true, std::move(v)};
+  }
+  static VerifyOutcome reject() { return VerifyOutcome{}; }
+};
+
 /// Controls HOW verification executes, never WHAT it decides: the batched
 /// and scalar strategies accept/reject identically (batched falls back to
-/// exact scalar re-checks when a fold fails), and a cache hit replays a
-/// verdict the same bytes already earned.
+/// exact scalar re-checks when a fold fails). Every call verifies; the
+/// only verdict memo is the proxy's hop memo (desword/proxy.h).
 struct EdbVerifyOptions {
   bool batched = true;   // fold proof-chain equations into one multi-exp
   unsigned threads = 0;  // *_many fan-out; 0 = DESWORD_THREADS / hw default
-  /// Optional verdict cache. When set, each verification first looks up
-  /// digest(CRS ‖ commitment ‖ key ‖ full proof bytes) and skips the
-  /// multi-exp on a hit; accepted verdicts are stored back. Null = off.
-  VerifyCachePtr cache;
 };
 
 /// Verifies a membership proof against `root`. On success the outcome is
@@ -66,8 +87,6 @@ struct EdbMembershipQuery {
 /// what edb_verify_membership would return for it. With `opts.batched`,
 /// each worker folds its whole shard of proofs into one batch — the main
 /// throughput lever of this module (see bench_zkedb VerifyManyBatched).
-/// With `opts.cache`, hits are satisfied before sharding and only misses
-/// enter the fold.
 std::vector<VerifyOutcome> edb_verify_membership_many(
     const EdbCrs& crs, const mercurial::QtmcCommitment& root,
     const std::vector<EdbMembershipQuery>& queries,

@@ -1,20 +1,22 @@
-// Epoch-versioned verification cache (ISSUE 10 tentpole).
+// Epoch-versioned verification cache: the proxy's hop memo.
 //
 // Repeated audit traffic re-walks the same proof chains: recall campaigns
 // and counterfeit audits query far more often than participants re-commit,
-// so the exact same (commitment, key, proof bytes) triple is verified over
-// and over. This cache memoizes the *verdict* of an accepted verification
-// so a hop whose exact proof bytes were already admitted under the same
-// commitment skips the multi-exponentiation entirely.
+// so the exact same (task, participant, product, commitment, proof bytes)
+// hop is verified over and over. This cache memoizes the *verdict* of an
+// accepted hop check so a hop whose exact proof bytes were already
+// admitted under the same POC-list generation skips the
+// multi-exponentiation entirely. It is the only verdict memo: ZK-EDB
+// verification itself (zkedb/verifier.h) always verifies.
 //
 // Safety rests on two pillars:
 //
-//   * Keys bind the FULL proof bytes (plus CRS digest, commitment and
-//     key/position) through a domain-separated SHA-256 — see proof_key()
-//     / hop_key(). A tampered proof, however close to a cached one, hashes
-//     to a different key and can never alias a cached acceptance. The
-//     `cache-key` lint rule (tools/desword_lint.py) rejects key
-//     constructions that omit the proof bytes.
+//   * Keys bind the FULL proof bytes (plus task, participant, product and
+//     commitment) through a domain-separated SHA-256 — see hop_key(). A
+//     tampered proof, however close to a cached one, hashes to a different
+//     key and can never alias a cached acceptance. The `cache-key` lint
+//     rule (tools/desword_lint.py) rejects key constructions that omit the
+//     proof bytes.
 //   * Entries are tagged with an epoch (the proxy's per-task POC-list
 //     generation). A lookup under a different epoch misses AND erases the
 //     stale entry, so acceptances from before a list replacement are
@@ -27,60 +29,28 @@
 // for the attacker and free for the cache. (DESIGN.md §12.)
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "common/bytes.h"
 #include "common/mutex.h"
+#include "zkedb/verifier.h"
 
 namespace desword::zkedb {
 
-/// Uniform result of a proof verification: `ok` is the verdict; `value`
-/// carries the proven value for memberships (absent for non-memberships).
-/// Replaces the historical std::optional<Bytes> / bare bool split so cache
-/// entries and callers handle both proof flavours identically.
-struct VerifyOutcome {
-  bool ok = false;
-  std::optional<Bytes> value;
-
-  /// True iff the proof was accepted AND proves a value (membership).
-  bool has_value() const { return ok && value.has_value(); }
-  const Bytes& operator*() const { return *value; }
-  const Bytes* operator->() const { return &*value; }
-  explicit operator bool() const { return ok; }
-
-  bool operator==(const VerifyOutcome&) const = default;
-
-  static VerifyOutcome accept() { return VerifyOutcome{true, std::nullopt}; }
-  static VerifyOutcome accept_value(Bytes v) {
-    return VerifyOutcome{true, std::move(v)};
-  }
-  static VerifyOutcome reject() { return VerifyOutcome{}; }
-};
-
-/// Sharded, capacity-bounded LRU of accepted verification verdicts.
+/// Capacity-bounded LRU of accepted hop verdicts.
 ///
-/// Thread safe: each shard owns an annotated Mutex; a lookup or store
-/// touches exactly one shard. Keys are 32-byte tagged digests (uniform),
-/// so the first key byte picks the shard without skew. Instrumented with
-/// zkedb.cache.{hit,miss,evict,stale}.
+/// Thread safe: one annotated Mutex guards the map and the LRU list (the
+/// proxy only touches it from its loop thread, but the lock keeps the
+/// class safe to share and keeps the thread-safety analysis honest).
+/// Instrumented with zkedb.cache.{hit,miss,evict,stale}.
 class VerifyCache {
  public:
-  struct Config {
-    std::size_t capacity = 4096;  // total entries across all shards
-    std::size_t shards = 8;
-  };
-
-  // Two overloads instead of `Config config = {}`: a brace default for a
-  // nested aggregate with member initializers is ill-formed until the
-  // enclosing class is complete.
-  VerifyCache() : VerifyCache(Config{}) {}
-  explicit VerifyCache(Config config);
+  explicit VerifyCache(std::size_t capacity);
 
   VerifyCache(const VerifyCache&) = delete;
   VerifyCache& operator=(const VerifyCache&) = delete;
@@ -96,16 +66,8 @@ class VerifyCache {
   void store(const Bytes& key, const VerifyOutcome& outcome,
              std::uint64_t epoch);
 
-  /// Entries currently resident (sums shards; approximate under races).
+  /// Entries currently resident.
   std::size_t size() const;
-
-  /// Key for a ZK-EDB proof-level verdict. Binds the CRS (its params
-  /// digest), the root commitment, the key position, the FULL serialized
-  /// proof bytes and the proof flavour (`kind` = "membership" /
-  /// "non_membership").
-  static Bytes proof_key(const Bytes& crs_digest, BytesView commitment,
-                         BytesView key, BytesView proof_bytes,
-                         std::string_view kind);
 
   /// Key for a proxy-level hop verdict. Binds the task, the responding
   /// participant, the queried product id, the hop's POC commitment bytes,
@@ -119,23 +81,14 @@ class VerifyCache {
   struct Entry {
     VerifyOutcome outcome;
     std::uint64_t epoch = 0;
-    std::list<Bytes>::iterator pos;  // position in the shard's LRU list
+    std::list<Bytes>::iterator pos;  // position in the LRU list
   };
 
-  struct Shard {
-    mutable Mutex mu;
-    std::map<Bytes, Entry> entries DESWORD_GUARDED_BY(mu);
-    /// Most-recently-used first; back() is the eviction victim.
-    std::list<Bytes> lru DESWORD_GUARDED_BY(mu);
-  };
-
-  Shard& shard_of(const Bytes& key);
-  const Shard& shard_of(const Bytes& key) const;
-
-  std::size_t per_shard_cap_;
-  std::vector<Shard> shards_;
+  const std::size_t capacity_;
+  mutable Mutex mu_;
+  std::map<Bytes, Entry> entries_ DESWORD_GUARDED_BY(mu_);
+  /// Most-recently-used first; back() is the eviction victim.
+  std::list<Bytes> lru_ DESWORD_GUARDED_BY(mu_);
 };
-
-using VerifyCachePtr = std::shared_ptr<VerifyCache>;
 
 }  // namespace desword::zkedb

@@ -87,8 +87,8 @@ Rules (each can be waived on a specific line with a trailing
                 caller and is exempt.
 
   cache-key     Every verification-cache key construction — a
-                ``proof_key(...)`` / ``hop_key(...)`` call — must pass the
-                full proof bytes (an argument naming ``proof``). The cache
+                ``hop_key(...)`` call — must pass the full proof bytes
+                (an argument naming ``proof``). The cache
                 maps keys to *accepted* verdicts; a key that omits the
                 proof bytes would let a tampered proof alias a cached
                 acceptance and ride straight past the verifier
@@ -204,7 +204,7 @@ RE_CANCEL_TIMER_ARGS = re.compile(r"\bcancel_timer\s*\(([^()]*)\)")
 
 # Verification-cache key constructions (rule cache-key). Call sites AND
 # the static definitions match; both must name the proof bytes.
-RE_CACHE_KEY = re.compile(r"\b(?:proof_key|hop_key)\s*\(")
+RE_CACHE_KEY = re.compile(r"\bhop_key\s*\(")
 RE_CACHE_KEY_PROOF_ARG = re.compile(r"proof")
 
 # Worker-context dispatch points (rule loop-affinity): posting to a strand
@@ -429,7 +429,7 @@ class Linter:
 
     def check_cache_key(self, rel: str, text: str,
                         lines: list[str]) -> None:
-        """Flags proof_key/hop_key constructions (call sites and
+        """Flags hop_key constructions (call sites and
         definitions alike) whose balanced argument span never names the
         proof bytes. Key components other than the proof are contextual;
         the proof bytes are the one ingredient whose omission turns the
